@@ -35,9 +35,8 @@ use std::time::Instant;
 
 use euno_bench::common::{emit, print_table, scaled, Cli, Point, System};
 use euno_htm::{ConcurrentBackend, Mode, RetryPolicy, Runtime, ThreadCtx, TxCell};
-use euno_sim::{
-    preload, run_virtual, strategy_for, LatencyHistogram, RunConfig, RunMetrics, VirtualScheduler,
-};
+use euno_metrics::LogHistogram;
+use euno_sim::{preload, run_virtual, strategy_for, RunConfig, RunMetrics, VirtualScheduler};
 use euno_workloads::{Preload, WorkloadSpec};
 
 /// One counter per cache line so the `private` scenario is conflict-free.
@@ -191,7 +190,7 @@ fn run_raw_concurrent(
     type WorkerOut = (
         euno_htm::ThreadStats,
         euno_metrics::ExecStages,
-        LatencyHistogram,
+        LogHistogram,
         Instant,
         Instant,
     );
@@ -203,7 +202,7 @@ fn run_raw_concurrent(
             let barrier = &barrier;
             handles.push(s.spawn(move || {
                 let mut ctx = rt.thread(seed.wrapping_add(t as u64));
-                let mut latency = LatencyHistogram::new();
+                let mut latency = LogHistogram::new();
                 barrier.wait();
                 let start = Instant::now();
                 for _ in 0..ops {
@@ -222,7 +221,7 @@ fn run_raw_concurrent(
     let start = results.iter().map(|r| r.3).min().expect("threads >= 1");
     let end = results.iter().map(|r| r.4).max().expect("threads >= 1");
     let wall = (end - start).as_secs_f64();
-    let mut latency = LatencyHistogram::new();
+    let mut latency = LogHistogram::new();
     let mut per_thread = Vec::with_capacity(results.len());
     let mut stages = euno_metrics::ExecStages::default();
     for (stats, st, hist, _, _) in results {

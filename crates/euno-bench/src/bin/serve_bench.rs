@@ -33,9 +33,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use euno_bench::common::{scale, write_csv, write_report, Point};
-use euno_metrics::TimeSeries;
+use euno_metrics::{LogHistogram, TimeSeries};
 use euno_serve::{EunoServer, Request, ServeConfig, ServeSnapshot};
-use euno_sim::{LatencyHistogram, RunConfig, RunMetrics, ServeInfo};
+use euno_sim::{RunConfig, RunMetrics, ServeInfo};
 use euno_workloads::{
     ChurnSchedule, KeyDistribution, Op, OpMix, OpStream, PoissonArrivals, Preload, WorkloadSpec,
 };
@@ -477,7 +477,7 @@ fn build_metrics(r: &LevelResult, shards: usize) -> RunMetrics {
     // stay zero — the per-thread contexts live inside the workers.
     let mut per_thread = vec![ThreadStats::default(); shards.max(1)];
     per_thread[0].ops = r.snap.completed;
-    let mut lat = LatencyHistogram::new();
+    let mut lat = LogHistogram::new();
     lat.merge(&r.snap.latency_ns);
     RunMetrics::from_wall(per_thread, r.stages, r.elapsed_secs, lat)
 }

@@ -1,107 +1,35 @@
-//! Read-mostly snapshot registries for line classes and object ranges.
+//! Sorted registries for line classes and object ranges.
 //!
-//! Both registries share an access pattern the engine's hot path cares
-//! about: trees register regions in bursts (build, preload, node splits)
-//! and the engine looks them up constantly (conflict classification,
-//! trace attribution). The old implementations guarded a per-line
-//! `HashMap` and a sorted `Vec` with `RwLock`s, so every lookup paid a
-//! lock acquisition even though the data is effectively immutable between
-//! bursts.
+//! Trees register regions in bursts (build, preload, node splits); the
+//! engine looks them up to classify conflicts and to attribute trace
+//! events. Each registry is a plain sorted `Vec` behind a `Mutex`:
+//! registrations edit it in place and lookups binary-search it under the
+//! lock. Nothing is ever copied, so memory stays proportional to the
+//! number of registered ranges.
 //!
-//! [`SnapshotVec`] replaces the locks with an atomic-pointer-swapped
-//! immutable snapshot: writers mutate a master copy under a mutex and
-//! set a dirty flag; the next reader republishes (clone + pointer swap)
-//! once, and every reader after that binary-searches the snapshot with
-//! no lock at all. Retired snapshots are kept until the registry drops —
-//! a reader may still hold a reference into one — which leaks at most
-//! one superseded vector per registration *burst*, not per registration.
+//! The lock is cheap because of who reads:
+//!
+//! - **Concurrent (TL2) mode** reads the class registry only to classify
+//!   an abort (`ThreadCtx::line_conflict_cause`, `slot_conflict_cause`) —
+//!   a few hundred reads per million operations on a splitting tree, none
+//!   on a worker that never aborts.
+//! - **Virtual mode** reads it inside [`VirtState::check`] and
+//!   [`VirtState::storm_check`], on the scheduler's one OS thread, so
+//!   the lock is never contended.
+//! - The **object registry** is read only by the post-run profile
+//!   builder.
+//!
+//! Both locks are *leaf* locks: nothing else is acquired while one is
+//! held. The only nesting is `Runtime::virt` → class registry, in virtual
+//! mode.
+//!
+//! [`VirtState::check`]: crate::runtime::VirtState::check
+//! [`VirtState::storm_check`]: crate::runtime::VirtState::storm_check
 
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::line::{LineClass, LineId, LineSet};
-
-struct Master<T> {
-    items: Vec<T>,
-    /// Superseded snapshots. Readers may still hold references into
-    /// them, so they are only freed when the registry itself drops.
-    retired: Vec<*mut Vec<T>>,
-}
-
-// Safety: the raw pointers in `retired` are uniquely owned boxed vectors
-// (shared only as immutable snapshots), so the container is as Send/Sync
-// as the element type.
-unsafe impl<T: Send> Send for Master<T> {}
-unsafe impl<T: Send + Sync> Sync for Master<T> {}
-
-/// A sorted vector with lock-free reads and lazily republished writes.
-pub(crate) struct SnapshotVec<T: Clone> {
-    snap: AtomicPtr<Vec<T>>,
-    dirty: AtomicBool,
-    master: Mutex<Master<T>>,
-}
-
-impl<T: Clone> SnapshotVec<T> {
-    pub(crate) fn new() -> Self {
-        SnapshotVec {
-            snap: AtomicPtr::new(Box::into_raw(Box::new(Vec::new()))),
-            dirty: AtomicBool::new(false),
-            master: Mutex::new(Master {
-                items: Vec::new(),
-                retired: Vec::new(),
-            }),
-        }
-    }
-
-    /// Mutate the master copy under the lock. Readers observe the change
-    /// on their next [`SnapshotVec::read`] via the dirty flag.
-    pub(crate) fn update(&self, f: impl FnOnce(&mut Vec<T>)) {
-        let mut m = self.master.lock().unwrap();
-        f(&mut m.items);
-        self.dirty.store(true, Ordering::Release);
-    }
-
-    /// Read the master copy under the lock (cold observability paths).
-    pub(crate) fn with_master<R>(&self, f: impl FnOnce(&[T]) -> R) -> R {
-        f(&self.master.lock().unwrap().items)
-    }
-
-    /// Current snapshot. Lock-free unless a registration happened since
-    /// the last read, which triggers one clone-and-swap under the lock.
-    #[inline]
-    pub(crate) fn read(&self) -> &[T] {
-        if self.dirty.load(Ordering::Acquire) {
-            self.publish();
-        }
-        // Safety: snapshot vectors are retired, never freed, until `self`
-        // drops, so the borrow is valid for the lifetime of `&self`.
-        unsafe { &*self.snap.load(Ordering::Acquire) }
-    }
-
-    #[cold]
-    fn publish(&self) {
-        let mut m = self.master.lock().unwrap();
-        // Re-check under the lock: a concurrent reader may have already
-        // republished while we waited.
-        if !self.dirty.load(Ordering::Acquire) {
-            return;
-        }
-        let fresh = Box::into_raw(Box::new(m.items.clone()));
-        let old = self.snap.swap(fresh, Ordering::AcqRel);
-        m.retired.push(old);
-        self.dirty.store(false, Ordering::Release);
-    }
-}
-
-impl<T: Clone> Drop for SnapshotVec<T> {
-    fn drop(&mut self) {
-        let m = self.master.get_mut().unwrap();
-        for p in m.retired.drain(..) {
-            drop(unsafe { Box::from_raw(p) });
-        }
-        drop(unsafe { Box::from_raw(*self.snap.get_mut()) });
-    }
-}
 
 /// One registered line range: `[start, end)` with its class, plus the
 /// registration sequence number and the *original* range start it was
@@ -131,14 +59,14 @@ pub(crate) type LineRank = (u64, u64);
 /// compared to the old per-line hash map (one entry per allocation
 /// instead of one per 64-byte line).
 pub(crate) struct ClassRegistry {
-    ranges: SnapshotVec<ClassRange>,
+    ranges: Mutex<Vec<ClassRange>>,
     next_reg_id: AtomicU64,
 }
 
 impl ClassRegistry {
     pub(crate) fn new() -> Self {
         ClassRegistry {
-            ranges: SnapshotVec::new(),
+            ranges: Mutex::new(Vec::new()),
             next_reg_id: AtomicU64::new(0),
         }
     }
@@ -157,31 +85,30 @@ impl ClassRegistry {
             reg_id,
             orig_start: s,
         };
-        self.ranges.update(|v| {
-            // First range ending after `s` — the earliest possible overlap.
-            let i = v.partition_point(|r| r.end <= s);
-            let mut j = i;
-            let mut left = None;
-            let mut right = None;
-            while j < v.len() && v[j].start < e {
-                if v[j].start < s {
-                    left = Some(ClassRange { end: s, ..v[j] });
-                }
-                if v[j].end > e {
-                    right = Some(ClassRange { start: e, ..v[j] });
-                }
-                j += 1;
+        let mut v = self.ranges.lock().unwrap();
+        // First range ending after `s` — the earliest possible overlap.
+        let i = v.partition_point(|r| r.end <= s);
+        let mut j = i;
+        let mut left = None;
+        let mut right = None;
+        while j < v.len() && v[j].start < e {
+            if v[j].start < s {
+                left = Some(ClassRange { end: s, ..v[j] });
             }
-            let repl = left.into_iter().chain(std::iter::once(fresh)).chain(right);
-            v.splice(i..j, repl);
-        });
+            if v[j].end > e {
+                right = Some(ClassRange { start: e, ..v[j] });
+            }
+            j += 1;
+        }
+        let repl = left.into_iter().chain(std::iter::once(fresh)).chain(right);
+        v.splice(i..j, repl);
     }
 
     #[inline]
-    fn lookup(snap: &[ClassRange], line: LineId) -> Option<&ClassRange> {
-        let i = snap.partition_point(|r| r.start <= line.0);
+    fn lookup(ranges: &[ClassRange], line: LineId) -> Option<&ClassRange> {
+        let i = ranges.partition_point(|r| r.start <= line.0);
         if i > 0 {
-            let r = &snap[i - 1];
+            let r = &ranges[i - 1];
             if line.0 < r.end {
                 return Some(r);
             }
@@ -190,17 +117,23 @@ impl ClassRegistry {
     }
 
     #[inline]
+    fn rank_in(ranges: &[ClassRange], line: LineId) -> LineRank {
+        match Self::lookup(ranges, line) {
+            Some(r) => (r.reg_id, line.0 - r.orig_start),
+            None => (u64::MAX, line.0),
+        }
+    }
+
+    #[inline]
     pub(crate) fn class_of(&self, line: LineId) -> LineClass {
-        Self::lookup(self.ranges.read(), line).map_or(LineClass::Unknown, |r| r.class)
+        let v = self.ranges.lock().unwrap();
+        Self::lookup(&v, line).map_or(LineClass::Unknown, |r| r.class)
     }
 
     /// Deterministic rank of a line (see [`LineRank`]).
     #[inline]
     pub(crate) fn rank_of(&self, line: LineId) -> LineRank {
-        match Self::lookup(self.ranges.read(), line) {
-            Some(r) => (r.reg_id, line.0 - r.orig_start),
-            None => (u64::MAX, line.0),
-        }
+        Self::rank_in(&self.ranges.lock().unwrap(), line)
     }
 
     /// The common line of `a` and `b` with the smallest [`LineRank`], if
@@ -209,25 +142,24 @@ impl ClassRegistry {
     /// address order — sensitive to allocator placement), the answer is a
     /// deterministic function of the simulated schedule.
     pub(crate) fn best_common_line(&self, a: &LineSet, b: &LineSet) -> Option<LineId> {
-        let snap = self.ranges.read();
-        let mut best: Option<(LineRank, LineId)> = None;
-        for line in a.common_iter(b) {
-            let rank = match Self::lookup(snap, line) {
-                Some(r) => (r.reg_id, line.0 - r.orig_start),
-                None => (u64::MAX, line.0),
-            };
-            if best.is_none_or(|(r, _)| rank < r) {
-                best = Some((rank, line));
-            }
+        let mut common = a.common_iter(b).peekable();
+        let first = common.next()?;
+        // A lone common line needs no rank: the usual one-line conflict
+        // skips the lock.
+        if common.peek().is_none() {
+            return Some(first);
         }
-        best.map(|(_, line)| line)
+        let v = self.ranges.lock().unwrap();
+        std::iter::once(first)
+            .chain(common)
+            .min_by_key(|&line| Self::rank_in(&v, line))
     }
 
     /// Number of distinct registered lines (ranges are non-overlapping,
     /// so widths sum exactly).
     pub(crate) fn registered_lines(&self) -> usize {
-        self.ranges
-            .with_master(|v| v.iter().map(|r| (r.end - r.start) as usize).sum())
+        let v = self.ranges.lock().unwrap();
+        v.iter().map(|r| (r.end - r.start) as usize).sum()
     }
 }
 
@@ -235,38 +167,38 @@ impl ClassRegistry {
 /// base. Re-registering an exact base replaces the entry (reused
 /// allocation), including shrinking its length.
 pub(crate) struct ObjectRegistry {
-    objects: SnapshotVec<(u64, u64)>,
+    objects: Mutex<Vec<(u64, u64)>>,
 }
 
 impl ObjectRegistry {
     pub(crate) fn new() -> Self {
         ObjectRegistry {
-            objects: SnapshotVec::new(),
+            objects: Mutex::new(Vec::new()),
         }
     }
 
     pub(crate) fn register(&self, base: u64, len: u64) {
-        self.objects
-            .update(|v| match v.binary_search_by_key(&base, |&(b, _)| b) {
-                Ok(i) => v[i] = (base, len),
-                Err(i) => v.insert(i, (base, len)),
-            });
+        let mut v = self.objects.lock().unwrap();
+        match v.binary_search_by_key(&base, |&(b, _)| b) {
+            Ok(i) => v[i] = (base, len),
+            Err(i) => v.insert(i, (base, len)),
+        }
     }
 
     /// Base address of the registered object containing `addr`, if any.
     pub(crate) fn base_of(&self, addr: u64) -> Option<u64> {
-        let snap = self.objects.read();
-        let i = match snap.binary_search_by_key(&addr, |&(b, _)| b) {
+        let v = self.objects.lock().unwrap();
+        let i = match v.binary_search_by_key(&addr, |&(b, _)| b) {
             Ok(i) => i,
             Err(0) => return None,
             Err(i) => i - 1,
         };
-        let (base, len) = snap[i];
+        let (base, len) = v[i];
         (addr < base + len).then_some(base)
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.objects.with_master(|v| v.len())
+        self.objects.lock().unwrap().len()
     }
 }
 
@@ -275,16 +207,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn snapshot_reads_see_prior_updates() {
-        let s: SnapshotVec<u64> = SnapshotVec::new();
-        assert!(s.read().is_empty());
-        s.update(|v| v.push(3));
-        assert_eq!(s.read(), &[3]);
-        // A second read without intervening updates takes the lock-free
-        // path and sees the same snapshot.
-        assert_eq!(s.read(), &[3]);
-        s.update(|v| v.push(9));
-        assert_eq!(s.read(), &[3, 9]);
+    fn reads_see_prior_updates() {
+        let reg = ObjectRegistry::new();
+        assert_eq!(reg.base_of(3), None);
+        reg.register(3, 1);
+        assert_eq!(reg.base_of(3), Some(3));
+        // A second read without intervening updates sees the same entry.
+        assert_eq!(reg.base_of(3), Some(3));
+        reg.register(9, 1);
+        assert_eq!((reg.base_of(3), reg.base_of(9)), (Some(3), Some(9)));
+        assert_eq!(reg.len(), 2);
     }
 
     #[test]
@@ -347,7 +279,7 @@ mod tests {
         reg.register(0x1000, 256);
         assert_eq!(reg.base_of(0x10ff), Some(0x1000));
         // Reused allocation: same base, smaller object. The old tail must
-        // stop resolving even though an older snapshot said otherwise.
+        // stop resolving even though it resolved before.
         reg.register(0x1000, 64);
         assert_eq!(reg.len(), 1);
         assert_eq!(reg.base_of(0x103f), Some(0x1000));
@@ -359,7 +291,7 @@ mod tests {
     fn concurrent_register_and_classify() {
         // Hammer registrations from one thread while another classifies;
         // every lookup must see either Unknown or a class registered for
-        // that exact line — never torn or stale-beyond-retirement data.
+        // that exact line — never torn data.
         let reg = std::sync::Arc::new(ClassRegistry::new());
         let w = {
             let reg = std::sync::Arc::clone(&reg);

@@ -628,13 +628,14 @@ pub struct Runtime {
     rtm_ok: bool,
     pub(crate) virt: Mutex<VirtState>,
     /// Line-range → data class, populated by trees at node allocation.
-    /// Snapshot structure: classification lookups are lock-free. Also the
+    /// A sorted `Vec` behind a leaf lock, taken while `virt` is held in
+    /// virtual mode (the only lock nesting; see `registry.rs`). Also the
     /// source of deterministic line ranks for conflict-line selection,
     /// which is why the episode-closing paths in `ctx.rs` pass it into
     /// [`VirtState::check`] / [`VirtState::storm_check`].
     pub(crate) classes: ClassRegistry,
     /// Object registry for trace attribution: `(base, len)` of registered
-    /// objects (tree leaves), sorted by base, lock-free lookups.
+    /// objects (tree leaves), sorted by base, behind a leaf lock.
     objects: ObjectRegistry,
     /// Epoch collector for deferred node reclamation: trees pin around
     /// every operation ([`crate::ctx::ThreadCtx::epoch_enter`]) and hand

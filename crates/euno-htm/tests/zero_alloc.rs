@@ -13,6 +13,9 @@
 //! first measured-phase allocations — usually enough to identify the
 //! structure that grew (window deque, an index list, a line set spill).
 //!
+//! The same holds for the line-class registry that abort classification
+//! reads: a lookup right after registrations must not copy the registry.
+//!
 //! Single `#[test]` on purpose: the allocation counter is process-global,
 //! so a concurrently scheduled second test would pollute the measured
 //! window.
@@ -21,7 +24,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use euno_htm::{CostModel, Mode, RetryPolicy, Runtime, ThreadCtx, TxCell};
+use euno_htm::{
+    CostModel, LineClass, LineId, Mode, RetryPolicy, Runtime, ThreadCtx, TxCell, CACHE_LINE_BYTES,
+};
 
 /// Forwards to the system allocator, counting every allocation and
 /// reallocation (frees are irrelevant to the property under test).
@@ -198,4 +203,38 @@ fn steady_state_episodes_do_not_allocate() {
         "concurrent-mode steady state allocated {during} times in 10k episodes"
     );
     ctx.finish();
+
+    // ---- class registry: reads after registrations ------------------
+    // Abort classification looks up a line's class right after splits
+    // register new nodes; the lookup must read the registry in place.
+    let rt = Runtime::new_concurrent();
+    let (a, b) = (1usize << 20, 1usize << 21);
+    rt.register_region(a, 4 * CACHE_LINE_BYTES, LineClass::Record);
+    rt.register_region(b, 2 * CACHE_LINE_BYTES, LineClass::Structure);
+
+    COUNTING.with(|c| c.set(true));
+    let before = ALLOCS.load(Ordering::Relaxed);
+    if trap {
+        TRAP.store(16, Ordering::Relaxed);
+    }
+    let classes = [
+        rt.class_of(LineId::of_addr(a)),
+        rt.class_of(LineId::of_addr(a + 3 * CACHE_LINE_BYTES)),
+        rt.class_of(LineId::of_addr(b)),
+        rt.class_of(LineId::of_addr(b + 2 * CACHE_LINE_BYTES)),
+    ];
+    TRAP.store(0, Ordering::Relaxed);
+    let during = ALLOCS.load(Ordering::Relaxed) - before;
+    COUNTING.with(|c| c.set(false));
+    dump_trapped_sizes();
+    assert_eq!(during, 0, "class lookups allocated {during} times");
+    assert_eq!(
+        classes,
+        [
+            LineClass::Record,
+            LineClass::Record,
+            LineClass::Structure,
+            LineClass::Unknown
+        ]
+    );
 }

@@ -12,10 +12,8 @@
 //! and merging two histograms is a bucket-wise add (the property the
 //! sharded registry depends on).
 //!
-//! `euno_sim::LatencyHistogram` is an alias of this type: the API below is
-//! exactly the old `hist.rs` one, including the PR-2 fix where the
-//! terminal (highest non-empty) bucket reports the *exact* observed max
-//! rather than its bucket floor.
+//! The terminal (highest non-empty) bucket reports the *exact* observed
+//! max rather than its bucket floor.
 
 /// A fixed-size logarithmic histogram of u64 samples.
 #[derive(Clone)]
@@ -252,6 +250,68 @@ mod tests {
         assert!(h.quantile(0.5) < 1000);
         assert_eq!(h.quantile(1.0), 1000);
         assert!(h.quantile(1.0) >= h.quantile(0.999));
+    }
+
+    #[test]
+    fn quantiles_are_monotone_and_bracket_the_data() {
+        let mut h = LogHistogram::new();
+        for i in 1..=10_000u64 {
+            h.record(i);
+        }
+        let p50 = h.quantile(0.5);
+        let p90 = h.quantile(0.9);
+        let p99 = h.quantile(0.99);
+        assert!(p50 <= p90 && p90 <= p99);
+        // Log-bucket resolution: within a factor of √2 of the true value.
+        assert!((2_900..=5_000).contains(&p50), "p50 = {p50}");
+        assert!((6_000..=10_000).contains(&p99), "p99 = {p99}");
+    }
+
+    #[test]
+    fn heavy_tail_visible_in_p999() {
+        let mut h = LogHistogram::new();
+        for _ in 0..999 {
+            h.record(100);
+        }
+        h.record(1_000_000); // one convoy victim
+        assert!(h.quantile(0.5) < 200);
+        // With exactly 1000 samples the 0.999-quantile is the 999th value
+        // (still in the bulk); the convoy victim appears from 0.9995 up —
+        // and the terminal bucket reports the *exact* observed max, not
+        // its bucket floor (which would under-report by up to √2×).
+        assert_eq!(h.quantile(0.9995), 1_000_000);
+        assert_eq!(h.quantile(1.0), 1_000_000);
+    }
+
+    #[test]
+    fn nonzero_buckets_expose_distribution() {
+        let mut h = LogHistogram::new();
+        h.record(1);
+        h.record(1);
+        h.record(1_000_000);
+        let b = h.nonzero_buckets();
+        assert_eq!(b.len(), 2);
+        assert_eq!(b[0], (1, 2));
+        assert_eq!(b.iter().map(|&(_, c)| c).sum::<u64>(), h.count());
+    }
+
+    #[test]
+    fn merge_combines() {
+        let mut a = LogHistogram::new();
+        let mut b = LogHistogram::new();
+        a.record(10);
+        b.record(1_000);
+        a.merge(&b);
+        assert_eq!(a.count(), 2);
+        assert_eq!(a.max(), 1_000);
+    }
+
+    #[test]
+    fn summary_formats() {
+        let mut h = LogHistogram::new();
+        h.record(500);
+        let s = h.summary();
+        assert!(s.contains("mean") && s.contains("p99"));
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //!   canonical: the run-report executor-stage section and the time-series
 //!   exporters all use [`Counter::name`], so there is exactly one spelling
 //!   of every metric in the tree.
-//! - [`LogHistogram`] — the mergeable √2-bucket histogram (single
-//!   implementation; `euno_sim::LatencyHistogram` is an alias of it).
+//! - [`LogHistogram`] — the mergeable √2-bucket histogram, the single
+//!   histogram implementation in the tree.
 //! - [`Registry`] — owns the shards, the gauges and the [`FlipLog`];
 //!   one per [`Runtime`](../euno_htm/struct.Runtime.html).
 //! - [`TimeSeries`] / [`sample_due`] — the Δ-tick snapshot ring the run

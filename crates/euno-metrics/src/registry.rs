@@ -9,7 +9,9 @@
 //! slot is written by exactly one thread and only ever grows — observe a
 //! monotone, never-torn value per counter. Cross-counter consistency is
 //! *not* promised within a snapshot (a sampler may see a commit before
-//! its attempt); windows are therefore reported per-counter.
+//! its attempt); windows are therefore reported per-counter. A counter
+//! that several threads bump on one shared shard (a serve shard's
+//! submitters) must use [`ThreadShard::add_shared`], an atomic RMW.
 //!
 //! **Rollback.** The warmup harness discards warmup operations by cloning
 //! `ThreadStats` around each op and restoring on completion; shards get
@@ -62,6 +64,15 @@ impl ThreadShard {
             cell.load(Ordering::Relaxed).wrapping_add(n),
             Ordering::Relaxed,
         );
+    }
+
+    /// Multi-writer increment: an atomic read-modify-write, for a
+    /// counter that several threads bump on one shared shard (a serve
+    /// shard's submitters). Never mix with [`ThreadShard::add`] on the
+    /// same counter: a concurrent load + store would erase this add.
+    #[inline]
+    pub fn add_shared(&self, c: Counter, n: u64) {
+        self.counters[c.index()].fetch_add(n, Ordering::Relaxed);
     }
 
     #[inline]

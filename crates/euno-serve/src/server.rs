@@ -18,7 +18,7 @@
 //!    the server's metric registry, then either flips the slot to DONE
 //!    for its [`Ticket`] holder or (detached requests) recycles it.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -117,11 +117,14 @@ pub(crate) struct Shard {
     pub batching: AtomicBool,
     pub batch_max: AtomicUsize,
     pub batch_hist: Mutex<LogHistogram>,
-    pub shed: AtomicU64,
     pub worker: Mutex<Option<std::thread::Thread>>,
     /// This shard's slice of the *server* registry, shared by the worker
-    /// (completions, latency) and submitters (enqueue/shed counters) —
-    /// every counter is an atomic, so sharing one shard handle is fine.
+    /// and the submitters. The worker is the single writer of its own
+    /// counters (completions, latency, batch counts) and uses
+    /// [`ThreadShard::add`]; any number of submitters bump
+    /// `ServeEnqueued`/`ServeShed`, so those go through
+    /// [`ThreadShard::add_shared`] — a plain load + store from two
+    /// submitters would lose increments.
     pub stats: Option<Arc<ThreadShard>>,
     pub maintain_every: u64,
     pub seed: u64,
@@ -198,7 +201,6 @@ impl EunoServer {
                 batching: AtomicBool::new(cfg.batching),
                 batch_max: AtomicUsize::new(cfg.batch_max.max(1)),
                 batch_hist: Mutex::new(LogHistogram::new()),
-                shed: AtomicU64::new(0),
                 worker: Mutex::new(None),
                 stats: registry.register_shard(),
                 maintain_every: cfg.maintain_every,
@@ -300,9 +302,8 @@ impl EunoServer {
     fn enqueue(&self, shard: usize, raw: RawReq) -> Result<(u32, u32), Shed> {
         let sh = &self.shards[shard];
         let Some(idx) = sh.pool.acquire() else {
-            sh.shed.fetch_add(1, Ordering::Relaxed);
             if let Some(st) = &sh.stats {
-                st.add(Counter::ServeShed, 1);
+                st.add_shared(Counter::ServeShed, 1);
             }
             return Err(Shed);
         };
@@ -310,14 +311,13 @@ impl EunoServer {
         sh.pool.stage(idx, raw);
         if !sh.queue.push(idx) {
             sh.pool.release(idx);
-            sh.shed.fetch_add(1, Ordering::Relaxed);
             if let Some(st) = &sh.stats {
-                st.add(Counter::ServeShed, 1);
+                st.add_shared(Counter::ServeShed, 1);
             }
             return Err(Shed);
         }
         if let Some(st) = &sh.stats {
-            st.add(Counter::ServeEnqueued, 1);
+            st.add_shared(Counter::ServeEnqueued, 1);
         }
         if sh.depth.fetch_add(1, Ordering::Relaxed) == 0 {
             if let Some(t) = sh.worker.lock().unwrap().as_ref() {
@@ -471,7 +471,6 @@ impl EunoServer {
         self.registry.reset();
         for sh in &self.shards {
             *sh.batch_hist.lock().unwrap() = LogHistogram::new();
-            sh.shed.store(0, Ordering::Relaxed);
         }
     }
 

@@ -9,11 +9,10 @@ use euno_htm::{
     AdaptiveBudget, AggressivePolicy, ConcurrentMap, DbxPolicy, Mode, RetryPolicy, RetryStrategy,
     Runtime, ThreadCtx, ThreadStats,
 };
-use euno_metrics::{sample_due, Counter, ExecStages, TimeSeries};
+use euno_metrics::{sample_due, Counter, ExecStages, LogHistogram, TimeSeries};
 use euno_trace::{build_profile, codes, EventKind, ThreadTrace, TraceBuf};
 use euno_workloads::{Op, OpStream, PolicyChoice, WorkloadSpec};
 
-use crate::hist::LatencyHistogram;
 use crate::metrics::RunMetrics;
 use crate::sched::VirtualScheduler;
 
@@ -249,12 +248,8 @@ pub fn run_concurrent(
     let trace_cap = cfg.effective_trace_capacity();
     let done = std::sync::atomic::AtomicBool::new(false);
     let mut series: Option<TimeSeries> = None;
-    let results: Vec<(
-        ThreadStats,
-        ExecStages,
-        LatencyHistogram,
-        Option<ThreadTrace>,
-    )> = std::thread::scope(|s| {
+    type WorkerOut = (ThreadStats, ExecStages, LogHistogram, Option<ThreadTrace>);
+    let results: Vec<WorkerOut> = std::thread::scope(|s| {
         let mut handles = Vec::new();
         for t in 0..cfg.threads {
             let rt = Arc::clone(rt);
@@ -269,7 +264,7 @@ pub fn run_concurrent(
                 }
                 let mut stream = OpStream::new(&spec, t as u64, cfg.seed);
                 let mut scan_buf = Vec::new();
-                let mut latency = LatencyHistogram::new();
+                let mut latency = LogHistogram::new();
                 for _ in 0..cfg.warmup_ops {
                     let op = stream.next_op();
                     apply_warmup_op(map_ref, &mut ctx, op, &mut scan_buf);
@@ -329,7 +324,7 @@ pub fn run_concurrent(
         results
     });
     let elapsed = start_cell.lock().unwrap().elapsed().as_secs_f64();
-    let mut latency = LatencyHistogram::new();
+    let mut latency = LogHistogram::new();
     let mut per_thread = Vec::with_capacity(results.len());
     let mut stages = ExecStages::default();
     let mut traces = Vec::new();

@@ -10,7 +10,6 @@
 //! DESIGN.md §2 for why this substitution preserves the paper's figures.
 
 pub mod harness;
-pub mod hist;
 pub mod metrics;
 pub mod report;
 pub mod sched;
@@ -19,7 +18,6 @@ pub use harness::{
     apply_op, apply_warmup_op, attach_profile, preload, run_concurrent, run_virtual, strategy_for,
     RunConfig,
 };
-pub use hist::LatencyHistogram;
 pub use metrics::{RunMetrics, ServeInfo};
 pub use report::{profile_json, report_path_for, validate_report, Json, RunEntry, RunReport};
 pub use sched::{Driver, VirtualScheduler};

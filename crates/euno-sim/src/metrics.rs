@@ -1,10 +1,8 @@
 //! Run-level metrics: what each paper figure plots.
 
 use euno_htm::{AbortCounts, CostModel, ThreadStats};
-use euno_metrics::{ExecStages, FlipEvent, TimeSeries};
+use euno_metrics::{ExecStages, FlipEvent, LogHistogram, TimeSeries};
 use euno_trace::{LeafProfile, ThreadTrace};
-
-use crate::hist::LatencyHistogram;
 
 /// Service-layer telemetry for runs driven through `euno-serve` (the
 /// `serve_bench` harness): router/queue/batching counters that have no
@@ -36,7 +34,7 @@ pub struct ServeInfo {
     /// Adaptive-width halvings after conflict-heavy batches.
     pub batch_shrinks: u64,
     /// Distribution of drained batch sizes (log-bucketed).
-    pub batch_hist: LatencyHistogram,
+    pub batch_hist: LogHistogram,
 }
 
 /// Aggregated result of one experiment run (one point of one figure).
@@ -77,7 +75,7 @@ pub struct RunMetrics {
     /// Per-thread raw counters (scalability diagnostics).
     pub per_thread: Vec<ThreadStats>,
     /// Per-operation virtual-cycle latency distribution (merged).
-    pub latency: LatencyHistogram,
+    pub latency: LogHistogram,
     /// Collected per-thread event traces, when the run had tracing on
     /// ([`crate::harness::RunConfig::trace_capacity`]).
     pub trace: Option<Vec<ThreadTrace>>,
@@ -102,7 +100,7 @@ impl RunMetrics {
             stages,
             makespan_cycles,
             cost,
-            LatencyHistogram::new(),
+            LogHistogram::new(),
         )
     }
 
@@ -114,7 +112,7 @@ impl RunMetrics {
         stages: ExecStages,
         makespan_cycles: u64,
         cost: &CostModel,
-        latency: LatencyHistogram,
+        latency: LogHistogram,
     ) -> Self {
         // Threads that never finished warmup (None) measured from cycle 0.
         let measure_start = per_thread
@@ -129,13 +127,13 @@ impl RunMetrics {
 
     /// Build from per-thread stats plus measured wall time and the merged
     /// per-operation latency histogram (concurrent mode). Pass
-    /// `LatencyHistogram::new()` only when the harness genuinely recorded
+    /// `LogHistogram::new()` only when the harness genuinely recorded
     /// no latencies — reports distinguish "no samples" from "not wired".
     pub fn from_wall(
         per_thread: Vec<ThreadStats>,
         stages: ExecStages,
         elapsed_secs: f64,
-        latency: LatencyHistogram,
+        latency: LogHistogram,
     ) -> Self {
         let mut m = Self::build(per_thread, stages, elapsed_secs.max(1e-9), latency);
         m.tick_unit = "us";
@@ -146,7 +144,7 @@ impl RunMetrics {
         per_thread: Vec<ThreadStats>,
         stages: ExecStages,
         elapsed_secs: f64,
-        latency: LatencyHistogram,
+        latency: LogHistogram,
     ) -> Self {
         let mut merged = ThreadStats::default();
         for s in &per_thread {
@@ -218,7 +216,7 @@ mod tests {
             vec![ThreadStats::default()],
             ExecStages::default(),
             0.0,
-            LatencyHistogram::new(),
+            LogHistogram::new(),
         );
         assert_eq!(m.total_ops, 0);
         assert!(m.throughput.is_finite());
@@ -231,13 +229,13 @@ mod tests {
             ops: 5_000_000,
             ..Default::default()
         };
-        let m = RunMetrics::from_wall(vec![a], ExecStages::default(), 1.0, LatencyHistogram::new());
+        let m = RunMetrics::from_wall(vec![a], ExecStages::default(), 1.0, LogHistogram::new());
         assert!((m.mops() - 5.0).abs() < 1e-9);
     }
 
     #[test]
     fn from_wall_carries_latency_histogram() {
-        let mut h = LatencyHistogram::new();
+        let mut h = LogHistogram::new();
         for v in [100u64, 200, 400, 100_000] {
             h.record(v);
         }

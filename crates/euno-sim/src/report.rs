@@ -823,12 +823,11 @@ fn validate_profile(profile: &Json, at: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hist::LatencyHistogram;
     use euno_htm::ThreadStats;
-    use euno_metrics::{ExecStages, FlipEvent, FlipKind, Registry};
+    use euno_metrics::{ExecStages, FlipEvent, FlipKind, LogHistogram, Registry};
 
     fn sample_metrics() -> RunMetrics {
-        let mut hist = LatencyHistogram::new();
+        let mut hist = LogHistogram::new();
         for v in [900u64, 1_200, 2_000, 40_000] {
             hist.record(v);
         }
@@ -1021,7 +1020,7 @@ mod tests {
     fn serve_section_serializes_and_validates() {
         use crate::metrics::ServeInfo;
         let mut report = sample_report();
-        let mut batch_hist = LatencyHistogram::new();
+        let mut batch_hist = LogHistogram::new();
         for size in [8u64, 8, 4, 1] {
             batch_hist.record(size);
         }

@@ -19,10 +19,9 @@ use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use euno_htm::{Mode, Runtime, ThreadCtx, ThreadStats};
-use euno_metrics::{sample_due, Counter, ExecStages, TimeSeries};
+use euno_metrics::{sample_due, Counter, ExecStages, LogHistogram, TimeSeries};
 use euno_trace::{EventKind, ThreadTrace, TraceBuf};
 
-use crate::hist::LatencyHistogram;
 use crate::metrics::RunMetrics;
 
 /// A per-thread operation driver: run ONE operation; return `false` when
@@ -102,7 +101,7 @@ impl<'a> VirtualScheduler<'a> {
 
         let mut events: u64 = 0;
         let mut makespan: u64 = 0;
-        let mut latency = LatencyHistogram::new();
+        let mut latency = LogHistogram::new();
         let mut series = self
             .sampling
             .map(|(delta, cap)| TimeSeries::new(delta, cap));

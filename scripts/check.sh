@@ -15,6 +15,21 @@ cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release
 cargo test -q
 
+# Whole-workspace gate: the root Cargo.toml is a [package], so the line
+# above runs only the umbrella crate's tests.  This runs every crate's
+# unit, integration and doc tests.
+cargo test --workspace --release -q
+
+# Repeat stage: the serve tier's lib tests (including the batched vs
+# unbatched run under concurrent submitters) and its lin-oracle suite
+# race real threads, so one pass proves little.  Run them 50 times; a
+# single failure fails the gate and the log names its iteration.
+for i in $(seq 1 50); do
+    echo "serve concurrency repeat $i/50"
+    out="$(cargo test --release -q -p euno-serve --lib --test lin_oracle 2>&1)" \
+        || { echo "$out"; echo "serve concurrency repeat: iteration $i/50 failed"; exit 1; }
+done
+
 # hw-rtm gate: the RTM backend is cfg'd out of the default build and
 # would bit-rot silently — build and test it explicitly.  Actual RTM
 # execution stays runtime-gated on rtm_supported(): on CPUs without TSX
@@ -144,8 +159,8 @@ echo "phased-churn stress + linearizability check OK"
 # open-loop sweep in both modes and emits a schema-v4 report whose runs
 # carry `serve` sections; report_check validates it.  The front-end's
 # correctness gates — the lin-oracle tests and the steady-state
-# zero-alloc guard in euno-serve — already ran under `cargo test` above,
-# so this stage covers only the measurement pipeline.
+# zero-alloc guard in euno-serve — ran in the workspace and repeat
+# stages above, so this stage covers only the measurement pipeline.
 cargo run --release -q -p euno-bench --bin serve_bench -- \
     --smoke --csv "$SMOKE/serve.csv" | tee "$SMOKE/serve.out"
 grep -q "capacity knee" "$SMOKE/serve.out" \
