@@ -507,7 +507,7 @@ mod tests {
                 t.get(&mut ctxs[idx], round % 8);
             }
         }
-        let aborts: u64 = ctxs.iter().map(|c| c.stats.aborts.total()).sum();
+        let aborts: u64 = ctxs.iter().map(|c| c.aborts().total()).sum();
         assert!(aborts > 0, "version-word sharing must abort transactions");
     }
 

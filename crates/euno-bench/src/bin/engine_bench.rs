@@ -34,8 +34,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use euno_bench::common::{emit, print_table, scaled, Cli, Point, System};
-use euno_htm::{ConcurrentBackend, Mode, RetryPolicy, Runtime, ThreadCtx, TxCell};
-use euno_metrics::LogHistogram;
+use euno_htm::{ConcurrentBackend, Mode, RetryPolicy, Runtime, ThreadCtx, ThreadStats, TxCell};
+use euno_metrics::{Counter, ShardTotals};
 use euno_sim::{preload, run_virtual, strategy_for, RunConfig, RunMetrics, VirtualScheduler};
 use euno_workloads::{Preload, WorkloadSpec};
 
@@ -64,7 +64,7 @@ impl Arena {
             let v = tx.read(&self.cells[i].0)?;
             tx.write(&self.cells[i].0, v + 1)
         });
-        ctx.stats.ops += 1;
+        ctx.metric_add(Counter::Ops, 1);
     }
 
     /// One episode: read-only transaction over the first few cells.
@@ -76,7 +76,7 @@ impl Arena {
             }
             Ok(acc)
         });
-        ctx.stats.ops += 1;
+        ctx.metric_add(Counter::Ops, 1);
     }
 }
 
@@ -130,19 +130,8 @@ fn raw_config(threads: usize, ops: u64, seed: u64) -> RunConfig {
 
 /// Drive `threads` logical threads of `ops` episodes each through the
 /// deterministic scheduler; wall-clock the whole simulation.
-/// `metrics_on = false` disables the metric registry before any thread
-/// registers a shard — the baseline for the metrics-overhead gate in
-/// EXPERIMENTS.md (every hot-path hook degrades to one never-taken
-/// branch).
-fn run_raw_virtual(
-    scenario: Scenario,
-    threads: usize,
-    ops: u64,
-    seed: u64,
-    metrics_on: bool,
-) -> RunMetrics {
+fn run_raw_virtual(scenario: Scenario, threads: usize, ops: u64, seed: u64) -> RunMetrics {
     let rt = Runtime::new_virtual();
-    rt.metrics().set_enabled(metrics_on);
     let arena = Arc::new(Arena::new(SHARED_READ_LINES + threads));
     let mut sched = VirtualScheduler::new(Arc::clone(&rt));
     for t in 0..threads {
@@ -162,8 +151,7 @@ fn run_raw_virtual(
     }
     let t0 = Instant::now();
     let m = sched.run();
-    let wall = t0.elapsed().as_secs_f64();
-    RunMetrics::from_wall(m.per_thread.clone(), m.stages, wall, m.latency.clone())
+    m.with_wall_time(t0.elapsed().as_secs_f64())
 }
 
 /// Same scenarios on real OS threads: TL2-style software transactions
@@ -176,10 +164,8 @@ fn run_raw_concurrent(
     ops: u64,
     seed: u64,
     backend: ConcurrentBackend,
-    metrics_on: bool,
 ) -> RunMetrics {
     let rt = Runtime::new_with_backend(Mode::Concurrent, euno_htm::CostModel::default(), backend);
-    rt.metrics().set_enabled(metrics_on);
     let arena = Arc::new(Arena::new(SHARED_READ_LINES + threads));
     let barrier = std::sync::Barrier::new(threads);
     // Each worker stamps its own start/end around the measured loop; the
@@ -187,13 +173,7 @@ fn run_raw_concurrent(
     // thread after its own barrier.wait() is racy: the scheduler may run
     // every worker to completion first (observed on single-CPU hosts at
     // smoke sizes), inflating throughput by orders of magnitude.
-    type WorkerOut = (
-        euno_htm::ThreadStats,
-        euno_metrics::ExecStages,
-        LogHistogram,
-        Instant,
-        Instant,
-    );
+    type WorkerOut = (ThreadStats, ShardTotals, Instant, Instant);
     let results: Vec<WorkerOut> = std::thread::scope(|s| {
         let mut handles = Vec::new();
         for t in 0..threads {
@@ -202,34 +182,31 @@ fn run_raw_concurrent(
             let barrier = &barrier;
             handles.push(s.spawn(move || {
                 let mut ctx = rt.thread(seed.wrapping_add(t as u64));
-                let mut latency = LogHistogram::new();
                 barrier.wait();
                 let start = Instant::now();
                 for _ in 0..ops {
                     let before = ctx.clock;
                     scenario.run_episode(&arena, &mut ctx, t);
-                    latency.record(ctx.clock - before);
+                    ctx.metric_record_latency(ctx.clock - before);
                 }
                 let end = Instant::now();
                 ctx.finish();
-                let stages = ctx.exec_stages();
-                (ctx.stats, stages, latency, start, end)
+                let totals = ShardTotals::of(ctx.metrics_shard());
+                (ctx.stats, totals, start, end)
             }));
         }
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
-    let start = results.iter().map(|r| r.3).min().expect("threads >= 1");
-    let end = results.iter().map(|r| r.4).max().expect("threads >= 1");
+    let start = results.iter().map(|r| r.2).min().expect("threads >= 1");
+    let end = results.iter().map(|r| r.3).max().expect("threads >= 1");
     let wall = (end - start).as_secs_f64();
-    let mut latency = LogHistogram::new();
     let mut per_thread = Vec::with_capacity(results.len());
-    let mut stages = euno_metrics::ExecStages::default();
-    for (stats, st, hist, _, _) in results {
-        latency.merge(&hist);
+    let mut totals = ShardTotals::default();
+    for (stats, t, _, _) in results {
         per_thread.push(stats);
-        stages.merge(&st);
+        totals.merge(&t);
     }
-    RunMetrics::from_wall(per_thread, stages, wall, latency)
+    RunMetrics::from_wall(&per_thread, &totals, wall)
 }
 
 /// The full engine under a real tree and the paper's skewed workload,
@@ -253,8 +230,7 @@ fn run_tree_virtual(threads: usize, ops: u64, seed: u64) -> (WorkloadSpec, RunCo
     rt.reset_dynamics();
     let t0 = Instant::now();
     let m = run_virtual(map.as_ref(), &rt, &spec, &cfg);
-    let wall = t0.elapsed().as_secs_f64();
-    let metrics = RunMetrics::from_wall(m.per_thread.clone(), m.stages, wall, m.latency.clone());
+    let metrics = m.with_wall_time(t0.elapsed().as_secs_f64());
     (spec, cfg, metrics)
 }
 
@@ -273,21 +249,9 @@ fn main() {
             if !want(&x) {
                 continue;
             }
-            let m = run_raw_virtual(scenario, threads, raw_ops, seed, true);
+            let m = run_raw_virtual(scenario, threads, raw_ops, seed);
             points.push(Point {
                 system: "engine-virtual",
-                x: x.clone(),
-                spec: raw_spec(SHARED_READ_LINES + threads),
-                cfg: raw_config(threads, raw_ops, seed),
-                metrics: m,
-                extra: Vec::new(),
-            });
-            // Metrics-overhead gate: same schedule with the registry
-            // disabled (each hot-path hook is one never-taken branch).
-            // EXPERIMENTS.md compares this row against engine-virtual.
-            let m = run_raw_virtual(scenario, threads, raw_ops, seed, false);
-            points.push(Point {
-                system: "engine-virtual-nometrics",
                 x: x.clone(),
                 spec: raw_spec(SHARED_READ_LINES + threads),
                 cfg: raw_config(threads, raw_ops, seed),
@@ -302,8 +266,7 @@ fn main() {
                 raw_ops
             }
             .max(1_000);
-            let m =
-                run_raw_concurrent(scenario, threads, c_ops, seed, ConcurrentBackend::Stm, true);
+            let m = run_raw_concurrent(scenario, threads, c_ops, seed, ConcurrentBackend::Stm);
             points.push(Point {
                 system: "engine-stm",
                 x: x.clone(),
@@ -312,31 +275,9 @@ fn main() {
                 metrics: m,
                 extra: Vec::new(),
             });
-            let m = run_raw_concurrent(
-                scenario,
-                threads,
-                c_ops,
-                seed,
-                ConcurrentBackend::Stm,
-                false,
-            );
-            points.push(Point {
-                system: "engine-stm-nometrics",
-                x: x.clone(),
-                spec: raw_spec(SHARED_READ_LINES + threads),
-                cfg: raw_config(threads, c_ops, seed),
-                metrics: m,
-                extra: Vec::new(),
-            });
             if euno_htm::hw_rtm_available() {
-                let m = run_raw_concurrent(
-                    scenario,
-                    threads,
-                    c_ops,
-                    seed,
-                    ConcurrentBackend::HwRtm,
-                    true,
-                );
+                let m =
+                    run_raw_concurrent(scenario, threads, c_ops, seed, ConcurrentBackend::HwRtm);
                 points.push(Point {
                     system: "engine-rtm",
                     x,

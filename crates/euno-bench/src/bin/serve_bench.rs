@@ -33,7 +33,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use euno_bench::common::{scale, write_csv, write_report, Point};
-use euno_metrics::{LogHistogram, TimeSeries};
+use euno_htm::ThreadStats;
+use euno_metrics::{ShardTotals, TimeSeries};
 use euno_serve::{EunoServer, Request, ServeConfig, ServeSnapshot};
 use euno_sim::{RunConfig, RunMetrics, ServeInfo};
 use euno_workloads::{
@@ -163,7 +164,10 @@ struct LevelResult {
     snap: ServeSnapshot,
     elapsed_secs: f64,
     timeseries: TimeSeries,
-    stages: euno_metrics::ExecStages,
+    /// Op, stage and abort counts summed over the shard runtimes'
+    /// registries (the workers' engine shards), with the serve-tier
+    /// latency measured from each request's intended arrival.
+    totals: ShardTotals,
     lagged_ns: u64,
 }
 
@@ -260,15 +264,21 @@ fn run_level(
         }
         stop.store(true, Ordering::Release);
         let ts = sampler.join().unwrap();
-        let mut stages = euno_metrics::ExecStages::default();
+        let snap = srv.snapshot();
+        let mut totals = ShardTotals {
+            latency: snap.latency_ns.clone(),
+            ..ShardTotals::default()
+        };
         for rt in srv.shard_runtimes() {
-            stages.merge(&rt.metrics().exec_stages());
+            for (acc, v) in totals.counters.iter_mut().zip(rt.metrics().totals()) {
+                *acc += v;
+            }
         }
         LevelResult {
-            snap: srv.snapshot(),
+            snap,
             elapsed_secs: started.elapsed().as_secs_f64(),
             timeseries: ts,
-            stages,
+            totals,
             lagged_ns,
         }
     })
@@ -471,15 +481,8 @@ fn main() {
 }
 
 fn build_metrics(r: &LevelResult, shards: usize) -> RunMetrics {
-    use euno_htm::ThreadStats;
-    // Executor stage counts come from the shard runtimes' registries;
-    // op/latency accounting from the serve snapshot. Abort breakdowns
-    // stay zero — the per-thread contexts live inside the workers.
-    let mut per_thread = vec![ThreadStats::default(); shards.max(1)];
-    per_thread[0].ops = r.snap.completed;
-    let mut lat = LogHistogram::new();
-    lat.merge(&r.snap.latency_ns);
-    RunMetrics::from_wall(per_thread, r.stages, r.elapsed_secs, lat)
+    let per_thread = vec![ThreadStats::default(); shards.max(1)];
+    RunMetrics::from_wall(&per_thread, &r.totals, r.elapsed_secs)
 }
 
 fn serve_info(a: &Args, batching: bool, rate: f64, snap: &ServeSnapshot) -> ServeInfo {

@@ -13,6 +13,7 @@ use std::sync::Arc;
 
 use euno_bench::common::{emit, fig_config, Cli, Point, System};
 use euno_htm::{ConcurrentMap, Runtime, ThreadCtx};
+use euno_metrics::Counter;
 use euno_sim::{preload, strategy_for, RunConfig, VirtualScheduler};
 use euno_workloads::{Op, PolicyChoice, WorkloadSpec, YcsbOp, YcsbStream, YcsbWorkload};
 
@@ -56,7 +57,7 @@ fn run_ycsb(
                 } else {
                     left -= 1;
                 }
-                let saved = (!measuring).then(|| ctx.stats.clone());
+                let saved = (!measuring).then(|| (ctx.stats.clone(), ctx.metrics_mark()));
                 ctx.charge(ctx.runtime().cost.op_overhead);
                 match stream.next_op() {
                     YcsbOp::Simple(Op::Get { key }) => {
@@ -78,10 +79,11 @@ fn run_ycsb(
                         map_ref.put(ctx, key, (v + delta) & 0x7fff_ffff_ffff_ffff);
                     }
                 }
-                if let Some(saved) = saved {
-                    ctx.stats = saved;
+                if let Some((stats, mark)) = saved {
+                    ctx.stats = stats;
+                    ctx.metrics_restore(&mark);
                 } else {
-                    ctx.stats.ops += 1;
+                    ctx.metric_add(Counter::Ops, 1);
                 }
                 true
             }),

@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 
 use euno_baselines::{HtmBTree, HtmMasstree, Masstree};
 use euno_core::EunoBTreeDefault;
-use euno_htm::{ConcurrentMap, OpKind, OpOutput, Runtime, ThreadStats};
+use euno_htm::{ConcurrentMap, OpKind, OpOutput, Runtime};
 use euno_metrics::{sample_due, ExecStages, Snapshot, TimeSeries};
 use euno_rng::{Rng, SmallRng};
 use euno_trace::{build_profile, LeafProfile, ThreadTrace, TraceBuf};
@@ -172,8 +172,6 @@ pub struct StressReport {
     pub traces: Vec<ThreadTrace>,
     /// Hot-leaf contention profile, when `StressConfig::profile` is set.
     pub profile: Option<LeafProfile>,
-    /// Engine counters merged across every worker thread.
-    pub stats: ThreadStats,
     /// Executor stage counts merged across every worker thread — how the
     /// run's commits split across the HTM / middle / fallback paths.
     pub stages: ExecStages,
@@ -228,7 +226,6 @@ pub fn run_stress(
     let deadline = (cfg.duration_ms > 0).then(|| start + Duration::from_millis(cfg.duration_ms));
     let stop = AtomicBool::new(false);
     let mut traces: Vec<ThreadTrace> = Vec::new();
-    let mut stats = ThreadStats::default();
     let mut stages = ExecStages::default();
     let mut snapshots: Vec<Snapshot> = Vec::new();
 
@@ -290,7 +287,6 @@ pub fn run_stress(
                 drop(ctx.take_op_observer()); // flush this thread's ops
                 (
                     ctx.take_tracer().map(|b| b.into_thread_trace()),
-                    ctx.stats.clone(),
                     ctx.exec_stages(),
                 )
             }));
@@ -353,9 +349,8 @@ pub fn run_stress(
         };
 
         for h in workers {
-            let (trace, worker_stats, worker_stages) = h.join().expect("stress worker panicked");
+            let (trace, worker_stages) = h.join().expect("stress worker panicked");
             traces.extend(trace);
-            stats.merge(&worker_stats);
             stages.merge(&worker_stages);
         }
         stop.store(true, Ordering::Relaxed);
@@ -431,7 +426,6 @@ pub fn run_stress(
         quiescent_findings,
         traces,
         profile,
-        stats,
         stages,
         snapshots,
     }
@@ -655,11 +649,11 @@ mod tests {
             }
         }
 
-        let mut stats = ThreadStats::default();
+        let mut aborts = 0;
         let mut stages = ExecStages::default();
         for mut ctx in ctxs {
             drop(ctx.take_op_observer());
-            stats.merge(&ctx.stats);
+            aborts += ctx.aborts().total();
             stages.merge(&ctx.exec_stages());
         }
         assert!(
@@ -667,7 +661,7 @@ mod tests {
             "virtual abort storm never escalated onto the middle path \
              (commits {}, aborts {}, fallbacks {})",
             stages.commits,
-            stats.aborts.total(),
+            aborts,
             stages.fallbacks
         );
 

@@ -24,7 +24,7 @@ use crate::abort::{AbortCause, ConflictInfo, ConflictKind, TxResult};
 use crate::line::{LineId, LineSet};
 use crate::obs::{OpKind, OpObserver, OpOutput};
 use crate::runtime::{EpisodeRecord, Mode, Runtime};
-use crate::stats::ThreadStats;
+use crate::stats::{AbortCounts, ThreadStats};
 use crate::word::{TxCell, TxWord};
 
 /// Raw cell pointer usable across the engine's internal logs.
@@ -147,10 +147,10 @@ pub struct ThreadCtx {
     reclaim: crate::epoch::Participant,
     /// Unpin counter driving the opportunistic collection cadence.
     reclaim_ticks: u64,
-    /// This thread's metrics shard (see `euno-metrics`): single-writer
-    /// atomic counters the sampler reads concurrently. `None` when the
-    /// runtime's registry is disabled — every hook is then one branch.
-    shard: Option<Arc<euno_metrics::ThreadShard>>,
+    /// The writer of this thread's metrics shard (see `euno-metrics`):
+    /// the one store of its op, stage and abort counts and its latency
+    /// samples, which the sampler reads concurrently.
+    shard: euno_metrics::ShardWriter,
     /// Per-backend commit counter, resolved once at registration: the
     /// runtime's mode and RTM availability are fixed at construction, so
     /// the commit hot path skips the match.
@@ -185,9 +185,9 @@ pub(crate) fn trace_conflict_code(kind: ConflictKind) -> u8 {
     }
 }
 
-/// Map an [`AbortCause`] to its abort-bucket index — the same order as
-/// [`AbortCounts`](crate::stats::AbortCounts)'s fields and the
-/// `euno_metrics::ABORTS_HTM`/`ABORTS_MIDDLE` counter arrays.
+/// Map an [`AbortCause`] to its abort-bucket index into the
+/// `euno_metrics::ABORTS_HTM`/`ABORTS_MIDDLE` counter arrays, which
+/// [`AbortCounts::from_counters`] reads back in the same order.
 pub(crate) fn abort_bucket(cause: &AbortCause) -> usize {
     match cause {
         AbortCause::Conflict(ci) => match ci.kind {
@@ -291,71 +291,71 @@ impl ThreadCtx {
 
     // ================= always-on metrics (euno-metrics) =================
 
-    /// Bump one metrics counter on this thread's shard. With the registry
-    /// disabled this is a single branch — the instrumentation points stay
-    /// in the hot paths permanently, like `trace`. Metrics never charge
-    /// cycles and never touch the RNG, so they are schedule-neutral.
+    /// Bump one metrics counter on this thread's shard. Metrics never
+    /// charge cycles and never touch the RNG, so they are
+    /// schedule-neutral. Drivers count each completed operation here as
+    /// `Counter::Ops`.
     #[inline]
     pub fn metric_add(&self, c: euno_metrics::Counter, n: u64) {
-        if let Some(s) = self.shard.as_ref() {
-            s.add(c, n);
-        }
+        self.shard.add(c, n);
     }
 
     /// Read one counter back from this thread's shard (tests, drivers).
     #[inline]
     pub fn metric(&self, c: euno_metrics::Counter) -> u64 {
-        self.shard.as_ref().map_or(0, |s| s.get(c))
+        self.shard.get(c)
+    }
+
+    /// This thread's metrics shard, for reading its counters and
+    /// latency histogram.
+    pub fn metrics_shard(&self) -> &euno_metrics::ThreadShard {
+        &self.shard
     }
 
     /// This thread's executor-stage counters (attempts/commits/middles/…)
     /// as one struct, read from the metrics shard.
     pub fn exec_stages(&self) -> euno_metrics::ExecStages {
-        self.shard
-            .as_ref()
-            .map(|s| s.exec_stages())
-            .unwrap_or_default()
+        self.shard.exec_stages()
+    }
+
+    /// This thread's aborts by cause, over both speculative paths, read
+    /// from the metrics shard.
+    pub fn aborts(&self) -> AbortCounts {
+        AbortCounts::from_counters(&self.shard.counter_values())
     }
 
     /// Record one operation latency (virtual cycles or wall µs) into this
     /// thread's shard histogram.
     #[inline]
     pub fn metric_record_latency(&self, v: u64) {
-        if let Some(s) = self.shard.as_ref() {
-            s.record_latency(v);
-        }
+        self.shard.record_latency(v);
     }
 
     /// Snapshot this shard's counters so a warmup span can be rolled back
-    /// (paired with [`ThreadCtx::metrics_restore`]); symmetric with the
-    /// `ThreadStats` clone/restore the harness already does.
-    pub fn metrics_mark(&self) -> Option<euno_metrics::ShardMark> {
-        self.shard.as_ref().map(|s| s.mark())
+    /// (paired with [`ThreadCtx::metrics_restore`]).
+    pub fn metrics_mark(&self) -> euno_metrics::ShardMark {
+        self.shard.mark()
     }
 
     /// Roll the shard's counters back to a [`ThreadCtx::metrics_mark`].
-    pub fn metrics_restore(&self, mark: &Option<euno_metrics::ShardMark>) {
-        if let (Some(s), Some(m)) = (self.shard.as_ref(), mark.as_ref()) {
-            s.restore(m);
-        }
+    pub fn metrics_restore(&self, mark: &euno_metrics::ShardMark) {
+        self.shard.restore(mark);
     }
 
     /// Record one CCM bypass-state flip: directional counters on the shard
     /// plus a timestamped event in the registry's flip log (from which the
     /// sampler derives the adaptation-lag metric).
     pub fn metric_flip(&self, addr: u64, bypass: bool) {
-        if let Some(s) = self.shard.as_ref() {
-            s.add(euno_metrics::Counter::CcmBypassFlips, 1);
-            s.add(
-                if bypass {
-                    euno_metrics::Counter::CcmFlipsToBypass
-                } else {
-                    euno_metrics::Counter::CcmFlipsToProtect
-                },
-                1,
-            );
-            self.rt.metrics().record_flip(self.clock, addr, bypass);
-        }
+        self.shard.add(euno_metrics::Counter::CcmBypassFlips, 1);
+        self.shard.add(
+            if bypass {
+                euno_metrics::Counter::CcmFlipsToBypass
+            } else {
+                euno_metrics::Counter::CcmFlipsToProtect
+            },
+            1,
+        );
+        self.rt.metrics().record_flip(self.clock, addr, bypass);
     }
 
     /// Flush a committed episode's batched executor counters to the shard
@@ -376,18 +376,17 @@ impl ThreadCtx {
         aborts_middle: &[u32; euno_metrics::ABORT_BUCKETS],
     ) {
         use euno_metrics::Counter as C;
-        if let Some(s) = self.shard.as_ref() {
-            s.add(C::Commits, 1);
-            s.add(if middle { C::Middles } else { C::CommitsHtm }, 1);
-            s.add(self.backend_commit, 1);
-            s.add(C::Attempts, u64::from(attempts));
-            if attempts == 1 {
-                // First-try commit: no aborts, no backoffs, no middle path
-                // (each implies a second attempt) — skip the bucket scans.
-                return;
-            }
-            Self::episode_tail(s, middle_attempts, backoffs, aborts_htm, aborts_middle);
+        let s = &self.shard;
+        s.add(C::Commits, 1);
+        s.add(if middle { C::Middles } else { C::CommitsHtm }, 1);
+        s.add(self.backend_commit, 1);
+        s.add(C::Attempts, u64::from(attempts));
+        if attempts == 1 {
+            // First-try commit: no aborts, no backoffs, no middle path
+            // (each implies a second attempt) — skip the bucket scans.
+            return;
         }
+        self.episode_tail(middle_attempts, backoffs, aborts_htm, aborts_middle);
     }
 
     /// Flush an episode that escalated to the fallback path (no commit
@@ -401,22 +400,22 @@ impl ThreadCtx {
         aborts_htm: &[u32; euno_metrics::ABORT_BUCKETS],
         aborts_middle: &[u32; euno_metrics::ABORT_BUCKETS],
     ) {
-        if let Some(s) = self.shard.as_ref() {
-            s.add(euno_metrics::Counter::Attempts, u64::from(attempts));
-            Self::episode_tail(s, middle_attempts, backoffs, aborts_htm, aborts_middle);
-        }
+        self.shard
+            .add(euno_metrics::Counter::Attempts, u64::from(attempts));
+        self.episode_tail(middle_attempts, backoffs, aborts_htm, aborts_middle);
     }
 
     /// Shared slow tail of the episode flush: the conditional counters an
     /// aborted-at-least-once episode may have accumulated.
     fn episode_tail(
-        s: &euno_metrics::ThreadShard,
+        &self,
         middle_attempts: u32,
         backoffs: u32,
         aborts_htm: &[u32; euno_metrics::ABORT_BUCKETS],
         aborts_middle: &[u32; euno_metrics::ABORT_BUCKETS],
     ) {
         use euno_metrics::Counter as C;
+        let s = &self.shard;
         if middle_attempts > 0 {
             s.add(C::MiddleAttempts, u64::from(middle_attempts));
         }

@@ -24,17 +24,16 @@
 //! speculating; and only after repeated middle-path failure the global
 //! serialized fallback ([`Path::Fallback`]). Regions that declare no
 //! footprint skip the middle path entirely — byte-for-byte the classic
-//! two-path behaviour. What the split buys is the two seams:
+//! two-path behaviour.
 //!
-//! * [`RetryStrategy`] makes the decide stage pluggable — the DBX-style
-//!   per-cause budgets ([`RetryPolicy`] itself implements the trait), an
-//!   [`AggressivePolicy`] that almost never falls back, and an
-//!   [`AdaptiveBudget`] that resizes the conflict budget from the observed
-//!   fallback rate.
-//! * [`ExecObserver`] makes the accounting pluggable — the default hooks
-//!   maintain the existing [`ThreadStats`] counters (figures 2 and 9 are
-//!   derived from them), and instrumentation can layer on top without
-//!   touching the executor.
+//! [`RetryStrategy`] makes the decide stage pluggable — the DBX-style
+//! per-cause budgets ([`RetryPolicy`] itself implements the trait), an
+//! [`AggressivePolicy`] that almost never falls back, and an
+//! [`AdaptiveBudget`] that resizes the conflict budget from the observed
+//! fallback rate. The accounting is fixed: stage counts and abort causes
+//! go to the thread's `euno-metrics` shard (figures 2 and 9 are derived
+//! from it), and the cycle totals of each stage go to
+//! [`ThreadStats`](crate::ThreadStats).
 
 use std::sync::atomic::{AtomicI32, AtomicU32, Ordering};
 
@@ -45,7 +44,6 @@ use crate::ctx::{trace_abort_code, EpisodeKind, ThreadCtx, Tx};
 use crate::lock::Footprint;
 use crate::policy::{RetryCounts, RetryPolicy};
 use crate::runtime::Mode;
-use crate::stats::ThreadStats;
 use crate::word::TxCell;
 
 /// Which of the three execution paths ultimately completed a region.
@@ -307,85 +305,21 @@ impl RetryStrategy for AdaptiveBudget {
     }
 }
 
-/// Hooks called at each executor stage transition. The default methods
-/// maintain the [`ThreadStats`] *cycle and abort-cause* accounting; the
-/// stage **counts** themselves (attempts, commits, middles, fallbacks,
-/// backoffs) are maintained by the executor directly on the thread's
-/// `euno-metrics` shard, so they are correct regardless of which observer
-/// is installed. An observer that overrides a cycle hook and still wants
-/// the figures to work must keep those updates.
-pub trait ExecObserver {
-    /// A transaction attempt is about to run (episode already open).
-    fn on_attempt(&mut self, _stats: &mut ThreadStats) {}
-
-    /// An attempt aborted; `wasted_cycles` includes the abort penalty and
-    /// is net of the eager-detection refund.
-    fn on_abort(&mut self, stats: &mut ThreadStats, cause: AbortCause, wasted_cycles: u64) {
-        stats.cycles_wasted += wasted_cycles;
-        stats.aborts.record(cause);
-    }
-
-    /// The decide stage asked for backoff before the next attempt.
-    fn on_backoff(&mut self, stats: &mut ThreadStats, cycles: u64) {
-        stats.cycles_wasted += cycles;
-        stats.cycles_backoff += cycles;
-    }
-
-    /// The thread waited `cycles` on the fallback lock — either waiting it
-    /// out before a speculative attempt or acquiring it for a serialized
-    /// run. Brown's HTM-template analysis (and §4.2.1 here) makes this the
-    /// single most diagnostic stage count: fallback convoys live in it.
-    fn on_fallback_wait(&mut self, stats: &mut ThreadStats, cycles: u64) {
-        stats.cycles_fallback_wait += cycles;
-    }
-
-    /// A middle-path attempt is about to run: the region's footprint slot
-    /// locks were just acquired (the episode is not yet open).
-    fn on_middle_attempt(&mut self, _stats: &mut ThreadStats) {}
-
-    /// The thread waited `cycles` acquiring a middle-path footprint's
-    /// slot locks.
-    fn on_middle_wait(&mut self, stats: &mut ThreadStats, cycles: u64) {
-        stats.cycles_middle_wait += cycles;
-    }
-
-    /// An attempt committed; `attempts` counts all tries including this
-    /// one, and `path` says whether it was a plain ([`Path::Htm`]) or
-    /// footprint-locked ([`Path::Middle`]) commit.
-    fn on_commit(&mut self, _stats: &mut ThreadStats, _attempts: u32, _path: Path) {}
-
-    /// The region completed on the serialized fallback path.
-    fn on_fallback(&mut self, _stats: &mut ThreadStats) {}
-}
-
-/// The default observer: exactly the default cycle/abort accounting.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct StatsObserver;
-
-impl ExecObserver for StatsObserver {}
-
 /// One region execution in flight: the stage composition over a fallback
-/// cell, a retry strategy and an observer. [`ThreadCtx::htm_execute`] is
-/// the everyday entry point; build an `Executor` directly to attach a
-/// custom observer.
+/// cell and a retry strategy. [`ThreadCtx::htm_execute`] is the everyday
+/// entry point.
 pub struct Executor<'e> {
     fb: &'e TxCell<u64>,
     strategy: &'e dyn RetryStrategy,
-    observer: &'e mut dyn ExecObserver,
     footprint: Option<&'e Footprint<'e>>,
     attempt_start: u64,
 }
 
 impl<'e> Executor<'e> {
-    pub fn new(
-        fb: &'e TxCell<u64>,
-        strategy: &'e dyn RetryStrategy,
-        observer: &'e mut dyn ExecObserver,
-    ) -> Self {
+    pub fn new(fb: &'e TxCell<u64>, strategy: &'e dyn RetryStrategy) -> Self {
         Executor {
             fb,
             strategy,
-            observer,
             footprint: None,
             attempt_start: 0,
         }
@@ -429,10 +363,9 @@ impl<'e> Executor<'e> {
                 let wait_before = ctx.stats.cycles_lock_wait;
                 fp.acquire_all(ctx);
                 let waited = ctx.stats.cycles_lock_wait - wait_before;
-                self.observer.on_middle_attempt(&mut ctx.stats);
                 middle_attempts += 1;
                 if waited > 0 {
-                    self.observer.on_middle_wait(&mut ctx.stats, waited);
+                    ctx.stats.cycles_middle_wait += waited;
                     ctx.trace(EventKind::MiddleWait { cycles: waited });
                 }
                 Some(fp)
@@ -447,7 +380,6 @@ impl<'e> Executor<'e> {
                         fp.release_all(ctx);
                     }
                     let path = if on_middle { Path::Middle } else { Path::Htm };
-                    self.observer.on_commit(&mut ctx.stats, attempts, path);
                     ctx.metric_commit_episode(
                         on_middle,
                         attempts,
@@ -467,11 +399,10 @@ impl<'e> Executor<'e> {
                 Err(cause) => {
                     // classify() closes the aborted episode; only then is
                     // it legal to release the slot locks (direct access).
-                    let wasted = self.classify(ctx, cause, &mut counts, &mut conflict_aborts);
+                    self.classify(ctx, cause, &mut counts, &mut conflict_aborts);
                     if let Some(fp) = holding {
                         fp.release_all(ctx);
                     }
-                    self.observer.on_abort(&mut ctx.stats, cause, wasted);
                     let bucket = crate::ctx::abort_bucket(&cause);
                     if on_middle {
                         ab_mid[bucket] += 1;
@@ -504,7 +435,6 @@ impl<'e> Executor<'e> {
 
         ctx.metric_episode(attempts, middle_attempts, backoffs, &ab_htm, &ab_mid);
         let value = self.fallback(ctx, &mut body);
-        self.observer.on_fallback(&mut ctx.stats);
         ctx.metric_add(euno_metrics::Counter::Fallbacks, 1);
         self.strategy.observe_region(attempts, Path::Fallback);
         ExecOutcome {
@@ -555,11 +485,10 @@ impl<'e> Executor<'e> {
         ctx.fb_wait_free(self.fb);
         let waited = ctx.stats.cycles_lock_wait - wait_before;
         if waited > 0 {
-            self.observer.on_fallback_wait(&mut ctx.stats, waited);
+            ctx.stats.cycles_fallback_wait += waited;
             ctx.trace(EventKind::FallbackWait { cycles: waited });
         }
         self.attempt_start = ctx.clock;
-        self.observer.on_attempt(&mut ctx.stats);
         let st = unsafe { hw::xbegin() };
         if st == hw::XBEGIN_STARTED {
             // Subscribe: the lock word joins the read set, so a concurrent
@@ -646,7 +575,7 @@ impl<'e> Executor<'e> {
         ctx.fb_wait_free(self.fb);
         let waited = ctx.stats.cycles_lock_wait - wait_before;
         if waited > 0 {
-            self.observer.on_fallback_wait(&mut ctx.stats, waited);
+            ctx.stats.cycles_fallback_wait += waited;
             ctx.trace(EventKind::FallbackWait { cycles: waited });
         }
         self.attempt_start = ctx.clock;
@@ -656,7 +585,6 @@ impl<'e> Executor<'e> {
         if serialized {
             ctx.set_serialized();
         }
-        self.observer.on_attempt(&mut ctx.stats);
         ctx.fb_subscribe(self.fb)?;
         let v = body(&mut Tx { ctx })?;
         let xend = ctx.runtime().cost.xend;
@@ -669,14 +597,13 @@ impl<'e> Executor<'e> {
     /// hot, close the episode, account wasted cycles (TSX detects
     /// conflicts eagerly: refund half the attempt so retry density matches
     /// mid-flight death), charge the abort penalty, tally the cause.
-    /// Returns the wasted cycles for the observer.
     fn classify(
         &mut self,
         ctx: &mut ThreadCtx,
         cause: AbortCause,
         counts: &mut RetryCounts,
         conflict_aborts: &mut u32,
-    ) -> u64 {
+    ) {
         let (code, line_addr) = trace_abort_code(&cause);
         ctx.trace(EventKind::EpisodeAbort {
             kind: codes::EP_HTM_TX,
@@ -697,14 +624,15 @@ impl<'e> Executor<'e> {
             *conflict_aborts += 1;
         }
         counts.bump(cause);
-        wasted_attempt + penalty
+        ctx.stats.cycles_wasted += wasted_attempt + penalty;
     }
 
     /// Stage 4: exponential backoff between retries.
     fn backoff(&mut self, ctx: &mut ThreadCtx, counts: &RetryCounts) {
         let b = ctx.runtime().cost.backoff(counts.total_attempted());
         ctx.charge(b);
-        self.observer.on_backoff(&mut ctx.stats, b);
+        ctx.stats.cycles_wasted += b;
+        ctx.stats.cycles_backoff += b;
         ctx.trace(EventKind::Backoff { cycles: b });
     }
 
@@ -718,7 +646,7 @@ impl<'e> Executor<'e> {
         ctx.fb_acquire(self.fb);
         let waited = ctx.stats.cycles_lock_wait - wait_before;
         if waited > 0 {
-            self.observer.on_fallback_wait(&mut ctx.stats, waited);
+            ctx.stats.cycles_fallback_wait += waited;
             ctx.trace(EventKind::FallbackWait { cycles: waited });
         }
         ctx.episode_begin(EpisodeKind::Fallback);
@@ -772,8 +700,7 @@ impl ThreadCtx {
         footprint: Option<&Footprint<'_>>,
         body: impl FnMut(&mut Tx<'_>) -> TxResult<R>,
     ) -> ExecOutcome<R> {
-        let mut observer = StatsObserver;
-        let mut ex = Executor::new(fb, strategy, &mut observer);
+        let mut ex = Executor::new(fb, strategy);
         if let Some(fp) = footprint {
             ex = ex.with_footprint(fp);
         }
@@ -883,7 +810,7 @@ mod tests {
             out.attempts > 1 || out.path != Path::Htm,
             "expected a conflict abort, got {out:?}"
         );
-        assert!(b.stats.aborts.total() >= 1);
+        assert!(b.aborts().total() >= 1);
         assert_eq!(cell.load_plain(), 2);
     }
 
@@ -905,7 +832,7 @@ mod tests {
         a.htm_execute(&fb, &policy, |tx| tx.write(&x.0, 1));
         let out = b.htm_execute(&fb, &policy, |tx| tx.write(&y.0, 1));
         assert_eq!(out.attempts, 1);
-        assert_eq!(b.stats.aborts.total(), 0);
+        assert_eq!(b.aborts().total(), 0);
     }
 
     #[test]
@@ -929,7 +856,7 @@ mod tests {
             Ok(())
         });
         assert!(out.used_fallback(), "capacity overflow must reach fallback");
-        assert!(ctx.stats.aborts.capacity >= 1);
+        assert!(ctx.aborts().capacity >= 1);
         // Fallback applied the writes directly.
         assert!(cells.iter().all(|c| c.load_plain() == 7));
     }
@@ -947,7 +874,7 @@ mod tests {
             Ok(42)
         });
         assert_eq!(out.value, 42);
-        assert_eq!(ctx.stats.aborts.explicit, 1);
+        assert_eq!(ctx.aborts().explicit, 1);
     }
 
     #[test]
@@ -1124,56 +1051,6 @@ mod tests {
     }
 
     #[test]
-    fn custom_observer_sees_stage_transitions() {
-        #[derive(Default)]
-        struct Recorder {
-            attempts: u32,
-            aborts: u32,
-            commits: u32,
-            fallbacks: u32,
-        }
-        impl ExecObserver for Recorder {
-            fn on_attempt(&mut self, _stats: &mut ThreadStats) {
-                self.attempts += 1;
-            }
-            fn on_abort(&mut self, stats: &mut ThreadStats, cause: AbortCause, wasted: u64) {
-                self.aborts += 1;
-                stats.cycles_wasted += wasted;
-                stats.aborts.record(cause);
-            }
-            fn on_commit(&mut self, _stats: &mut ThreadStats, _attempts: u32, _path: Path) {
-                self.commits += 1;
-            }
-            fn on_fallback(&mut self, _stats: &mut ThreadStats) {
-                self.fallbacks += 1;
-            }
-        }
-
-        let (_rt, mut ctx) = vctx();
-        let fb = TxCell::new(0u64);
-        let cell = TxCell::new(0u64);
-        let mut rec = Recorder::default();
-        let policy = RetryPolicy::default();
-        let mut first = true;
-        let out = Executor::new(&fb, &policy, &mut rec).run(&mut ctx, |tx| {
-            if first {
-                first = false;
-                return tx.explicit_abort(2);
-            }
-            let v = tx.read(&cell)?;
-            tx.write(&cell, v + 1)
-        });
-        // Explicit aborts have no budget: one abort, then fallback.
-        assert!(out.used_fallback());
-        assert_eq!(rec.attempts, 1);
-        assert_eq!(rec.aborts, 1);
-        assert_eq!(rec.commits, 0);
-        assert_eq!(rec.fallbacks, 1);
-        assert_eq!(ctx.exec_stages().attempts, 1);
-        assert_eq!(ctx.exec_stages().fallbacks, 1);
-    }
-
-    #[test]
     fn stage_counters_track_backoff_and_fallback_wait() {
         // Conflicting threads: the loser retries with exponential backoff,
         // and the backoff stage counters must record it.
@@ -1225,49 +1102,100 @@ mod tests {
             waiter.stats.cycles_fallback_wait > 0,
             "waiting out the fallback lock must be attributed to the stage"
         );
-        assert!(waiter.stats.cycles_fallback_wait <= waiter.stats.cycles_lock_wait);
+        // The fallback lock was the only lock waited on: added once.
+        assert_eq!(
+            waiter.stats.cycles_fallback_wait,
+            waiter.stats.cycles_lock_wait
+        );
     }
 
-    /// Satellite audit of the split accounting contract: the default
-    /// [`StatsObserver`] hooks maintain exactly the *cycle and abort-cause*
-    /// side of [`ThreadStats`] (stage counts live on the metrics shard and
-    /// are the executor's job — see the test below), and each cycle hook
-    /// adds its contribution exactly once.
+    /// Each stage's cycle total is added exactly once. Under a cost model
+    /// that charges only abort penalties and backoff, a region's whole
+    /// clock is waste: every abort's penalty and every backoff lands in
+    /// `cycles_wasted` once, backoff also in `cycles_backoff` once. (The
+    /// wait totals are pinned to the thread's lock wait by the two wait
+    /// tests.)
     #[test]
-    fn stats_observer_covers_cycle_accounting_exactly_once() {
-        let mut stats = ThreadStats::default();
-        let mut obs = StatsObserver;
+    fn executor_covers_cycle_accounting_exactly_once() {
+        use crate::cost::CostModel;
+        use euno_metrics::Counter as C;
+        use euno_trace::TraceBuf;
 
-        obs.on_attempt(&mut stats);
-        obs.on_abort(&mut stats, AbortCause::Spurious, 7);
-        assert_eq!(stats.aborts.total(), 1);
-        assert_eq!(stats.cycles_wasted, 7);
+        /// Backoff-retry the first abort, escalate the second to the
+        /// middle path, serialize after that.
+        struct BackoffMiddleFallback;
+        impl RetryStrategy for BackoffMiddleFallback {
+            fn name(&self) -> &'static str {
+                "backoff-middle-fallback"
+            }
+            fn decide(&self, counts: &RetryCounts, _cause: AbortCause) -> Decision {
+                match (counts.middle, counts.total_attempted()) {
+                    (0, 1) => Decision::Retry { backoff: true },
+                    (0, _) => Decision::Middle,
+                    _ => Decision::Fallback,
+                }
+            }
+        }
 
-        obs.on_backoff(&mut stats, 5);
-        assert_eq!(stats.cycles_backoff, 5);
-        assert_eq!(stats.cycles_wasted, 12, "backoff also counts as waste");
-
-        obs.on_fallback_wait(&mut stats, 9);
-        assert_eq!(stats.cycles_fallback_wait, 9);
-
-        obs.on_middle_attempt(&mut stats);
-        obs.on_middle_wait(&mut stats, 4);
-        assert_eq!(stats.cycles_middle_wait, 4);
-
-        obs.on_commit(&mut stats, 3, Path::Htm);
-        obs.on_fallback(&mut stats);
-
-        // Second round: each cycle hook must add exactly one more unit —
-        // none double-counts.
-        obs.on_abort(&mut stats, AbortCause::Capacity, 1);
-        obs.on_backoff(&mut stats, 1);
-        obs.on_fallback_wait(&mut stats, 1);
-        obs.on_middle_wait(&mut stats, 1);
-        assert_eq!(stats.aborts.total(), 2);
-        assert_eq!(stats.cycles_backoff, 6);
-        assert_eq!(stats.cycles_fallback_wait, 10);
-        assert_eq!(stats.cycles_middle_wait, 5);
-        assert_eq!(stats.cycles_wasted, 14);
+        let cost = CostModel {
+            access_hit: 0,
+            line_first_touch: 0,
+            plain_first_touch: 0,
+            line_transfer: 0,
+            cas: 0,
+            xbegin: 0,
+            xend: 0,
+            abort_penalty: 7,
+            backoff_base: 5,
+            op_overhead: 0,
+            alu: 0,
+            lock_acquire: 0,
+            lock_release: 0,
+            spin_iter: 0,
+            spurious_abort_per_cycle: 0.0,
+            ..CostModel::default()
+        };
+        let rt = Runtime::new(Mode::Virtual, cost);
+        let mut ctx = rt.thread(1);
+        ctx.set_tracer(Box::new(TraceBuf::with_default_capacity(ctx.id)));
+        let fb = TxCell::new(0u64);
+        let locks = BitLockVector::new(64);
+        let fp = Footprint::new(&locks, &[4]);
+        let region = |ctx: &mut ThreadCtx| {
+            ctx.htm_execute_with(&fb, &BackoffMiddleFallback, Some(&fp), |tx| {
+                if tx.is_fallback() {
+                    Ok(())
+                } else {
+                    tx.explicit_abort(1)
+                }
+            })
+        };
+        assert_eq!(region(&mut ctx).path, Path::Fallback);
+        assert_eq!(ctx.metric(C::AbortsHtmExplicit), 2);
+        assert_eq!(ctx.metric(C::AbortsMiddleExplicit), 1);
+        assert_eq!(ctx.metric(C::Backoffs), 1);
+        let once = ctx.stats.clone();
+        let trace = ctx.take_tracer().unwrap().into_thread_trace();
+        let backoff: u64 = trace
+            .events
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::Backoff { cycles } => Some(cycles),
+                _ => None,
+            })
+            .sum();
+        assert!(backoff > 0);
+        assert_eq!(once.cycles_backoff, backoff);
+        assert_eq!(
+            once.cycles_wasted,
+            3 * 7 + backoff,
+            "backoff also counts as waste"
+        );
+        assert_eq!(ctx.clock, once.cycles_wasted, "nothing else was charged");
+        // A second identical region doubles every total.
+        region(&mut ctx);
+        assert_eq!(ctx.stats.cycles_wasted, 2 * once.cycles_wasted);
+        assert_eq!(ctx.stats.cycles_backoff, 2 * once.cycles_backoff);
     }
 
     /// The stage counts the report is built from are maintained by the
@@ -1521,7 +1449,8 @@ mod tests {
             b.stats.cycles_middle_wait > 0,
             "B must wait out A's virtual hold on slot 5"
         );
-        assert!(b.stats.cycles_middle_wait <= b.stats.cycles_lock_wait);
+        // The slot lock was the only lock waited on: added once.
+        assert_eq!(b.stats.cycles_middle_wait, b.stats.cycles_lock_wait);
     }
 
     #[test]

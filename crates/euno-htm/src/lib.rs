@@ -66,8 +66,8 @@ pub use cost::CostModel;
 pub use ctx::{EpisodeKind, ThreadCtx, Tx};
 pub use epoch::{CollectOutcome, Collector, Participant, ScopedPin};
 pub use exec::{
-    AdaptiveBudget, AggressivePolicy, DbxPolicy, Decision, ExecObserver, ExecOutcome, Executor,
-    Path, RetryStrategy, StatsObserver,
+    AdaptiveBudget, AggressivePolicy, DbxPolicy, Decision, ExecOutcome, Executor, Path,
+    RetryStrategy,
 };
 pub use line::{LineClass, LineId, LineSet, CACHE_LINE_BYTES};
 pub use lock::{
@@ -79,7 +79,7 @@ pub use map::{ConcurrentMap, MemoryReport, KEY_SENTINEL, TOMBSTONE};
 pub use obs::{OpKind, OpObserver, OpOutput};
 pub use policy::{RetryCounts, RetryPolicy};
 pub use runtime::{hw_rtm_available, ConcurrentBackend, Mode, Runtime};
-pub use stats::{AbortCounts, AggregateStats, ThreadStats};
+pub use stats::{AbortCounts, ThreadStats};
 pub use word::{TxCell, TxWord};
 
 // Trace-layer types, re-exported so downstream crates can install ring

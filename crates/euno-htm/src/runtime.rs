@@ -736,9 +736,8 @@ impl Runtime {
     }
 
     /// The metric registry: per-thread counter shards, epoch gauges and
-    /// the CCM flip log. Disable *before* creating threads (e.g. for an
-    /// overhead baseline) with `rt.metrics().set_enabled(false)` — threads
-    /// registered while disabled carry no shard.
+    /// the CCM flip log. Every thread context registers a shard; it is
+    /// the one store of that thread's op, stage and abort counts.
     #[inline]
     pub fn metrics(&self) -> &euno_metrics::Registry {
         &self.metrics

@@ -1,27 +1,27 @@
-//! Per-thread and aggregated execution statistics.
+//! Per-thread execution statistics and the abort-cause view.
 //!
 //! The paper's analysis figures (2 and 9) plot *aborts per operation broken
 //! down by cause*, and §2.3 quotes the fraction of CPU cycles wasted in
-//! aborted attempts (">94 % of total CPU cycles when θ = 0.9"). Each
-//! [`ThreadStats`](ThreadStats) tracks exactly those quantities; the
-//! simulator merges them into an [`AggregateStats`] per run.
+//! aborted attempts (">94 % of total CPU cycles when θ = 0.9"). Op counts
+//! and aborts by cause live in the thread's `euno-metrics` shard;
+//! [`AbortCounts`] is their report view. [`ThreadStats`] keeps the cycle
+//! totals and instruction proxies, which have no shard counter.
 
-use crate::abort::{AbortCause, ConflictKind};
+use euno_metrics::{Counter, ABORTS_HTM, ABORTS_MIDDLE};
 
 /// Counters kept by one (virtual or OS) thread. Plain integers — each
 /// thread owns its counters; aggregation happens after the run.
 ///
-/// Stage **counts** (attempts, commits, middles, fallbacks, backoffs, CCM
-/// flips) live in the thread's `euno-metrics` shard, not here — read them
-/// via [`ThreadCtx::exec_stages`](crate::ThreadCtx::exec_stages). This
-/// struct keeps what the shard does not: cycle accounting, the abort-cause
-/// taxonomy, and memory/CAS instruction proxies.
+/// Op, stage and abort **counts** (ops, attempts, commits, middles,
+/// fallbacks, backoffs, CCM flips, aborts by cause) live in the thread's
+/// `euno-metrics` shard, not here — read them via
+/// [`ThreadCtx::metric`](crate::ThreadCtx::metric),
+/// [`ThreadCtx::exec_stages`](crate::ThreadCtx::exec_stages) and
+/// [`ThreadCtx::aborts`](crate::ThreadCtx::aborts). This struct keeps
+/// what the shard does not: cycle accounting and memory/CAS instruction
+/// proxies.
 #[derive(Clone, Debug, Default)]
 pub struct ThreadStats {
-    /// Completed top-level operations (get/put/delete/scan).
-    pub ops: u64,
-    /// Aborts by cause.
-    pub aborts: AbortCounts,
     /// Optimistic-episode retries (Masstree-style version-validation
     /// failures; not HTM aborts).
     pub optimistic_retries: u64,
@@ -74,19 +74,20 @@ pub struct AbortCounts {
 }
 
 impl AbortCounts {
-    pub fn record(&mut self, cause: AbortCause) {
-        match cause {
-            AbortCause::Conflict(info) => match info.kind {
-                ConflictKind::TrueSameRecord => self.true_same_record += 1,
-                ConflictKind::FalseDifferentRecord => self.false_different_record += 1,
-                ConflictKind::FalseMetadata => self.false_metadata += 1,
-                ConflictKind::FalseStructure => self.false_structure += 1,
-                ConflictKind::Unclassified => self.unclassified_conflict += 1,
-            },
-            AbortCause::Capacity => self.capacity += 1,
-            AbortCause::Explicit(_) => self.explicit += 1,
-            AbortCause::Spurious => self.spurious += 1,
-            AbortCause::FallbackLocked => self.fallback_locked += 1,
+    /// The view of a dense counter array (a shard or a sum of shards):
+    /// each bucket is its HTM-path plus its middle-path counter.
+    pub fn from_counters(c: &[u64; Counter::COUNT]) -> Self {
+        let b = |i: usize| c[ABORTS_HTM[i].index()] + c[ABORTS_MIDDLE[i].index()];
+        AbortCounts {
+            true_same_record: b(0),
+            false_different_record: b(1),
+            false_metadata: b(2),
+            false_structure: b(3),
+            unclassified_conflict: b(4),
+            capacity: b(5),
+            explicit: b(6),
+            spurious: b(7),
+            fallback_locked: b(8),
         }
     }
 
@@ -108,24 +109,10 @@ impl AbortCounts {
     pub fn total(&self) -> u64 {
         self.conflicts() + self.capacity + self.explicit + self.spurious + self.fallback_locked
     }
-
-    pub fn merge(&mut self, other: &AbortCounts) {
-        self.true_same_record += other.true_same_record;
-        self.false_different_record += other.false_different_record;
-        self.false_metadata += other.false_metadata;
-        self.false_structure += other.false_structure;
-        self.unclassified_conflict += other.unclassified_conflict;
-        self.capacity += other.capacity;
-        self.explicit += other.explicit;
-        self.spurious += other.spurious;
-        self.fallback_locked += other.fallback_locked;
-    }
 }
 
 impl ThreadStats {
     pub fn merge(&mut self, other: &ThreadStats) {
-        self.ops += other.ops;
-        self.aborts.merge(&other.aborts);
         self.optimistic_retries += other.optimistic_retries;
         self.cycles_total += other.cycles_total;
         // Earliest measurement start among threads that *have* one. A bare
@@ -145,15 +132,6 @@ impl ThreadStats {
         self.episode_pool_allocs += other.episode_pool_allocs;
     }
 
-    /// HTM aborts per completed operation (Figures 2 and 9 y-axis).
-    pub fn aborts_per_op(&self) -> f64 {
-        if self.ops == 0 {
-            0.0
-        } else {
-            self.aborts.total() as f64 / self.ops as f64
-        }
-    }
-
     /// Fraction of cycles burnt in aborted attempts (§2.3: >94 % at θ=0.9).
     pub fn wasted_cycle_fraction(&self) -> f64 {
         if self.cycles_total == 0 {
@@ -164,75 +142,30 @@ impl ThreadStats {
     }
 }
 
-/// Statistics merged across all threads of one run.
-#[derive(Clone, Debug, Default)]
-pub struct AggregateStats {
-    pub per_run: ThreadStats,
-    pub threads: usize,
-}
-
-impl AggregateStats {
-    pub fn from_threads<'a>(stats: impl IntoIterator<Item = &'a ThreadStats>) -> Self {
-        let mut agg = AggregateStats::default();
-        for s in stats {
-            agg.per_run.merge(s);
-            agg.threads += 1;
-        }
-        agg
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::abort::{ConflictInfo, ConflictKind};
-    use crate::line::LineId;
-
-    fn conflict(kind: ConflictKind) -> AbortCause {
-        AbortCause::Conflict(ConflictInfo {
-            line: LineId(1),
-            kind,
-            other_thread: None,
-        })
-    }
 
     #[test]
-    fn record_routes_to_buckets() {
-        let mut a = AbortCounts::default();
-        a.record(conflict(ConflictKind::TrueSameRecord));
-        a.record(conflict(ConflictKind::FalseDifferentRecord));
-        a.record(conflict(ConflictKind::FalseDifferentRecord));
-        a.record(conflict(ConflictKind::FalseMetadata));
-        a.record(conflict(ConflictKind::FalseStructure));
-        a.record(AbortCause::Capacity);
-        a.record(AbortCause::Explicit(3));
-        a.record(AbortCause::Spurious);
-        a.record(AbortCause::FallbackLocked);
+    fn from_counters_sums_both_paths_per_bucket() {
+        let mut c = [0u64; Counter::COUNT];
+        c[Counter::AbortsHtmTrueSameRecord.index()] = 1;
+        c[Counter::AbortsHtmFalseDifferentRecord.index()] = 1;
+        c[Counter::AbortsMiddleFalseDifferentRecord.index()] = 1;
+        c[Counter::AbortsMiddleFalseMetadata.index()] = 1;
+        c[Counter::AbortsHtmFalseStructure.index()] = 1;
+        c[Counter::AbortsHtmCapacity.index()] = 1;
+        c[Counter::AbortsMiddleExplicit.index()] = 1;
+        c[Counter::AbortsHtmSpurious.index()] = 1;
+        c[Counter::AbortsHtmFallbackLocked.index()] = 1;
+        c[Counter::Attempts.index()] = 50;
+        let a = AbortCounts::from_counters(&c);
         assert_eq!(a.true_same_record, 1);
         assert_eq!(a.false_different_record, 2);
+        assert_eq!(a.explicit, 1);
         assert_eq!(a.conflicts(), 5);
         assert_eq!(a.leaf_level_conflicts(), 4);
         assert_eq!(a.total(), 9);
-    }
-
-    #[test]
-    fn merge_adds_counters() {
-        let mut a = ThreadStats {
-            ops: 10,
-            cycles_total: 1000,
-            cycles_wasted: 400,
-            ..Default::default()
-        };
-        let mut b = ThreadStats {
-            ops: 5,
-            cycles_total: 500,
-            ..Default::default()
-        };
-        b.aborts.record(AbortCause::Capacity);
-        a.merge(&b);
-        assert_eq!(a.ops, 15);
-        assert_eq!(a.cycles_total, 1500);
-        assert_eq!(a.aborts.capacity, 1);
     }
 
     #[test]
@@ -264,13 +197,17 @@ mod tests {
     fn merge_adds_stage_cycle_counters() {
         let mut a = ThreadStats::default();
         let b = ThreadStats {
+            cycles_total: 500,
             cycles_backoff: 120,
             cycles_fallback_wait: 55,
             cycles_middle_wait: 17,
+            mem_accesses: 7,
             ..Default::default()
         };
         a.merge(&b);
         a.merge(&b);
+        assert_eq!(a.cycles_total, 1000);
+        assert_eq!(a.mem_accesses, 14);
         assert_eq!(a.cycles_backoff, 240);
         assert_eq!(a.cycles_fallback_wait, 110);
         assert_eq!(a.cycles_middle_wait, 34);
@@ -279,29 +216,9 @@ mod tests {
     #[test]
     fn derived_ratios() {
         let mut s = ThreadStats::default();
-        assert_eq!(s.aborts_per_op(), 0.0);
         assert_eq!(s.wasted_cycle_fraction(), 0.0);
-        s.ops = 4;
-        s.aborts.record(AbortCause::Spurious);
-        s.aborts.record(AbortCause::Spurious);
         s.cycles_total = 100;
         s.cycles_wasted = 94;
-        assert!((s.aborts_per_op() - 0.5).abs() < 1e-12);
         assert!((s.wasted_cycle_fraction() - 0.94).abs() < 1e-12);
-    }
-
-    #[test]
-    fn aggregate_from_threads() {
-        let a = ThreadStats {
-            ops: 3,
-            ..Default::default()
-        };
-        let b = ThreadStats {
-            ops: 7,
-            ..Default::default()
-        };
-        let agg = AggregateStats::from_threads([&a, &b]);
-        assert_eq!(agg.threads, 2);
-        assert_eq!(agg.per_run.ops, 10);
     }
 }

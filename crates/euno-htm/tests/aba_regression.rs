@@ -148,7 +148,7 @@ fn reader_aborts_on_reused_line_with_equal_bytes() {
              validation would have passed it (ABA)"
         );
         assert!(
-            ctx.stats.aborts.total() >= 1,
+            ctx.aborts().total() >= 1,
             "the aborted attempt must be tallied"
         );
     });

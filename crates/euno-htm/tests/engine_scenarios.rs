@@ -3,6 +3,7 @@
 use euno_htm::{
     AbortCause, AdvisoryLock, CostModel, EpisodeKind, Mode, RetryPolicy, Runtime, ThreadCtx, TxCell,
 };
+use euno_metrics::Counter;
 
 fn min_clock_step(ctxs: &mut [ThreadCtx], mut f: impl FnMut(usize, &mut ThreadCtx)) {
     let idx = (0..ctxs.len()).min_by_key(|&i| (ctxs[i].clock, i)).unwrap();
@@ -32,7 +33,7 @@ fn direct_writes_abort_overlapping_transactions() {
         tx.read(&shared)
     });
     assert!(
-        out.attempts > 1 || a.stats.aborts.total() > 0,
+        out.attempts > 1 || a.aborts().total() > 0,
         "strong atomicity: the direct CAS must abort the reader"
     );
     assert_eq!(out.value, 7);
@@ -109,7 +110,7 @@ fn capacity_threshold_is_exact() {
         Ok(())
     });
     assert!(!out.used_fallback());
-    assert_eq!(ctx.stats.aborts.capacity, 0);
+    assert_eq!(ctx.aborts().capacity, 0);
 
     // …writing 5 aborts with Capacity and lands on the fallback.
     let out = ctx.htm_execute(&fb, &RetryPolicy::default(), |tx| {
@@ -119,7 +120,7 @@ fn capacity_threshold_is_exact() {
         Ok(())
     });
     assert!(out.used_fallback());
-    assert!(ctx.stats.aborts.capacity >= 1);
+    assert!(ctx.aborts().capacity >= 1);
 }
 
 /// Retry storms: once a line is written at a steady rate, later
@@ -141,11 +142,11 @@ fn storm_heat_raises_abort_probability() {
                 tx.charge(300);
                 tx.write(&hot.0, v + 1)
             });
-            ctx.stats.ops += 1;
+            ctx.metric_add(Counter::Ops, 1);
         });
     }
-    let total_aborts: u64 = writers.iter().map(|c| c.stats.aborts.total()).sum();
-    let total_ops: u64 = writers.iter().map(|c| c.stats.ops).sum();
+    let total_aborts: u64 = writers.iter().map(|c| c.aborts().total()).sum();
+    let total_ops: u64 = writers.iter().map(|c| c.metric(Counter::Ops)).sum();
     assert!(
         total_aborts as f64 / total_ops as f64 > 0.3,
         "hot-line writers must storm: {total_aborts} aborts / {total_ops} ops"
@@ -173,14 +174,13 @@ fn advisory_locks_and_transactions_compose() {
                 tx.write(&cell, v + 1)
             });
             lock.release(ctx);
-            ctx.stats.ops += 1;
         });
         let _ = round;
     }
     assert_eq!(cell.load_plain(), 800);
     // Lock-protected writers should see almost no HTM conflicts: the lock
     // serializes them before the region (the CCM lock-bit principle).
-    let aborts: u64 = ctxs.iter().map(|c| c.stats.aborts.total()).sum();
+    let aborts: u64 = ctxs.iter().map(|c| c.aborts().total()).sum();
     let waits: u64 = ctxs.iter().map(|c| c.stats.cycles_lock_wait).sum();
     assert!(waits > 0, "contended lock must produce waits");
     assert!(
@@ -219,7 +219,7 @@ fn explicit_abort_codes_surface_in_stats() {
         Ok(1)
     });
     assert_eq!(saw_code, Some(0x2a));
-    assert_eq!(ctx.stats.aborts.explicit, 1);
+    assert_eq!(ctx.aborts().explicit, 1);
 }
 
 /// Two identical runtimes with identical seeds produce bit-identical
@@ -240,11 +240,10 @@ fn fresh_runtimes_are_reproducible() {
                     let v = tx.read(&cells[i].0)?;
                     tx.write(&cells[i].0, v + 1)
                 });
-                ctx.stats.ops += 1;
             });
         }
         let clock_sum: u64 = ctxs.iter().map(|c| c.clock).sum();
-        let aborts: u64 = ctxs.iter().map(|c| c.stats.aborts.total()).sum();
+        let aborts: u64 = ctxs.iter().map(|c| c.aborts().total()).sum();
         let values: u64 = cells.iter().map(|c| c.0.load_plain()).sum();
         (clock_sum, aborts, values)
     }

@@ -43,5 +43,5 @@ mod sample;
 pub use counters::{Counter, ExecStages, Gauge, ABORTS_HTM, ABORTS_MIDDLE, ABORT_BUCKETS};
 pub use flip::{adaptation_lags, AdaptationLag, FlipEvent, FlipKind, FlipLog};
 pub use hist::{approx_quantile_from_buckets, LogHistogram};
-pub use registry::{Registry, ShardMark, ThreadShard};
+pub use registry::{Registry, ShardMark, ShardTotals, ShardWriter, ThreadShard};
 pub use sample::{sample_due, Snapshot, TimeSeries, Window};

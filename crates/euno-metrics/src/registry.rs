@@ -2,23 +2,28 @@
 //! flip log, owned one-per-`Runtime`.
 //!
 //! **Sharding & the single-writer discipline.** Each thread gets its own
-//! cache-line-aligned [`ThreadShard`] at registration. Only the owning
-//! thread writes its shard, so increments are a relaxed load + store (no
-//! `lock`-prefixed RMW on the hot path); the sampler and end-of-run
-//! aggregation read the same atomics concurrently and — because every
-//! slot is written by exactly one thread and only ever grows — observe a
-//! monotone, never-torn value per counter. Cross-counter consistency is
-//! *not* promised within a snapshot (a sampler may see a commit before
-//! its attempt); windows are therefore reported per-counter. A counter
-//! that several threads bump on one shared shard (a serve shard's
-//! submitters) must use [`ThreadShard::add_shared`], an atomic RMW.
+//! cache-line-aligned [`ThreadShard`] at registration, and with it the
+//! shard's one [`ShardWriter`]. The writer is neither `Clone` nor `Sync`,
+//! so exactly one thread can write the shard, and increments are a
+//! relaxed load + store (no `lock`-prefixed RMW on the hot path); the
+//! sampler and end-of-run aggregation read the same atomics concurrently
+//! and — because every slot is written by exactly one thread and only
+//! ever grows — observe a monotone, never-torn value per counter.
+//! Cross-counter consistency is *not* promised within a snapshot (a
+//! sampler may see a commit before its attempt); windows are therefore
+//! reported per-counter. A counter that several threads bump on one
+//! shared shard (a serve shard's submitters) goes through
+//! [`ThreadShard::add_shared`], an atomic RMW on the shared
+//! `Arc<ThreadShard>`.
 //!
-//! **Rollback.** The warmup harness discards warmup operations by cloning
-//! `ThreadStats` around each op and restoring on completion; shards get
-//! the symmetric treatment via [`ThreadShard::mark`] /
-//! [`ThreadShard::restore`] — a fixed-size copy, no allocation.
+//! **Rollback.** The warmup harness discards warmup operations by rolling
+//! the shard back with [`ShardWriter::mark`] / [`ShardWriter::restore`] —
+//! a fixed-size copy, no allocation.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::marker::PhantomData;
+use std::ops::Deref;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::counters::{Counter, ExecStages, Gauge};
@@ -26,13 +31,12 @@ use crate::flip::{FlipKind, FlipLog};
 use crate::hist::LogHistogram;
 
 /// One thread's private slice of the registry. All slots are atomics so
-/// the sampler can read live, but the owner updates them single-writer
-/// (relaxed load+store) — see the module docs.
+/// the sampler can read live, but only the shard's [`ShardWriter`]
+/// updates them (relaxed load+store) — see the module docs.
 #[repr(align(128))]
 pub struct ThreadShard {
     counters: [AtomicU64; Counter::COUNT],
     hist_buckets: [AtomicU64; LogHistogram::BUCKETS],
-    hist_count: AtomicU64,
     hist_sum: AtomicU64,
     hist_max: AtomicU64,
 }
@@ -50,25 +54,14 @@ impl ThreadShard {
         ThreadShard {
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
             hist_buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            hist_count: AtomicU64::new(0),
             hist_sum: AtomicU64::new(0),
             hist_max: AtomicU64::new(0),
         }
     }
 
-    /// Owner-thread increment: relaxed load + store, no RMW.
-    #[inline]
-    pub fn add(&self, c: Counter, n: u64) {
-        let cell = &self.counters[c.index()];
-        cell.store(
-            cell.load(Ordering::Relaxed).wrapping_add(n),
-            Ordering::Relaxed,
-        );
-    }
-
     /// Multi-writer increment: an atomic read-modify-write, for a
     /// counter that several threads bump on one shared shard (a serve
-    /// shard's submitters). Never mix with [`ThreadShard::add`] on the
+    /// shard's submitters). Never mix with [`ShardWriter::add`] on the
     /// same counter: a concurrent load + store would erase this add.
     #[inline]
     pub fn add_shared(&self, c: Counter, n: u64) {
@@ -78,24 +71,6 @@ impl ThreadShard {
     #[inline]
     pub fn get(&self, c: Counter) -> u64 {
         self.counters[c.index()].load(Ordering::Relaxed)
-    }
-
-    /// Owner-thread latency record into the shard histogram.
-    #[inline]
-    pub fn record_latency(&self, value: u64) {
-        let b = &self.hist_buckets[LogHistogram::index(value)];
-        b.store(b.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
-        self.hist_count.store(
-            self.hist_count.load(Ordering::Relaxed) + 1,
-            Ordering::Relaxed,
-        );
-        self.hist_sum.store(
-            self.hist_sum.load(Ordering::Relaxed).saturating_add(value),
-            Ordering::Relaxed,
-        );
-        if value > self.hist_max.load(Ordering::Relaxed) {
-            self.hist_max.store(value, Ordering::Relaxed);
-        }
     }
 
     /// Dense copy of all counters (sampler / aggregation read path).
@@ -108,18 +83,16 @@ impl ThreadShard {
         ExecStages::from_counters(&self.counter_values())
     }
 
-    /// Save counter state before a warmup op (fixed-size copy, no alloc).
-    pub fn mark(&self) -> ShardMark {
-        ShardMark {
-            counters: self.counter_values(),
-        }
-    }
-
-    /// Roll counters back to a [`mark`](ThreadShard::mark).
-    pub fn restore(&self, mark: &ShardMark) {
-        for (cell, &v) in self.counters.iter().zip(mark.counters.iter()) {
-            cell.store(v, Ordering::Relaxed);
-        }
+    /// This shard's latency histogram, with the exact sum and max the
+    /// shard tracked.
+    pub fn histogram(&self) -> LogHistogram {
+        let buckets = std::array::from_fn(|i| self.hist_buckets[i].load(Ordering::Relaxed));
+        let mut h = LogHistogram::from_bucket_counts(&buckets);
+        h.set_exact(
+            self.hist_sum.load(Ordering::Relaxed),
+            self.hist_max.load(Ordering::Relaxed),
+        );
+        h
     }
 
     fn reset(&self) {
@@ -129,15 +102,134 @@ impl ThreadShard {
         for b in &self.hist_buckets {
             b.store(0, Ordering::Relaxed);
         }
-        self.hist_count.store(0, Ordering::Relaxed);
         self.hist_sum.store(0, Ordering::Relaxed);
         self.hist_max.store(0, Ordering::Relaxed);
     }
 }
 
+/// The one writing handle of a [`ThreadShard`], returned by
+/// [`Registry::register_shard`]. It is `Send` (a worker thread can take
+/// it along) but neither `Clone` nor `Sync`, so no second thread can
+/// ever write the shard; that is what makes the relaxed load + store
+/// increments sound. Reads go through `Deref` to the shard.
+///
+/// A second writer does not compile:
+///
+/// ```compile_fail
+/// let reg = euno_metrics::Registry::new();
+/// let w = reg.register_shard();
+/// let w2 = w.clone();
+/// ```
+///
+/// ```compile_fail
+/// let reg = euno_metrics::Registry::new();
+/// let w = reg.register_shard();
+/// std::thread::scope(|s| {
+///     s.spawn(|| w.add(euno_metrics::Counter::Ops, 1));
+/// });
+/// ```
+pub struct ShardWriter {
+    shard: Arc<ThreadShard>,
+    _not_sync: PhantomData<Cell<()>>,
+}
+
+impl ShardWriter {
+    /// Single-writer increment: relaxed load + store, no RMW.
+    #[inline]
+    pub fn add(&self, c: Counter, n: u64) {
+        let cell = &self.shard.counters[c.index()];
+        cell.store(
+            cell.load(Ordering::Relaxed).wrapping_add(n),
+            Ordering::Relaxed,
+        );
+    }
+
+    /// Record one latency sample into the shard histogram.
+    #[inline]
+    pub fn record_latency(&self, value: u64) {
+        let s = &self.shard;
+        let b = &s.hist_buckets[LogHistogram::index(value)];
+        b.store(b.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+        s.hist_sum.store(
+            s.hist_sum.load(Ordering::Relaxed).saturating_add(value),
+            Ordering::Relaxed,
+        );
+        if value > s.hist_max.load(Ordering::Relaxed) {
+            s.hist_max.store(value, Ordering::Relaxed);
+        }
+    }
+
+    /// Save counter state before a warmup op (fixed-size copy, no alloc).
+    pub fn mark(&self) -> ShardMark {
+        ShardMark {
+            counters: self.shard.counter_values(),
+        }
+    }
+
+    /// Roll counters back to a [`mark`](ShardWriter::mark).
+    pub fn restore(&self, mark: &ShardMark) {
+        for (cell, &v) in self.shard.counters.iter().zip(mark.counters.iter()) {
+            cell.store(v, Ordering::Relaxed);
+        }
+    }
+
+    /// A shared read handle, for threads that only read the shard or bump
+    /// it with [`ThreadShard::add_shared`].
+    pub fn shared(&self) -> Arc<ThreadShard> {
+        Arc::clone(&self.shard)
+    }
+}
+
+impl Deref for ShardWriter {
+    type Target = ThreadShard;
+
+    fn deref(&self) -> &ThreadShard {
+        &self.shard
+    }
+}
+
+/// Summed counters and merged latency histogram of a set of shards. A
+/// run report derives every op, stage and abort count and its latency
+/// distribution from the totals of the run's own thread shards.
+#[derive(Clone, Debug)]
+pub struct ShardTotals {
+    pub counters: [u64; Counter::COUNT],
+    pub latency: LogHistogram,
+}
+
+impl ShardTotals {
+    /// One shard's counters and histogram.
+    pub fn of(shard: &ThreadShard) -> Self {
+        ShardTotals {
+            counters: shard.counter_values(),
+            latency: shard.histogram(),
+        }
+    }
+
+    pub fn merge(&mut self, other: &ShardTotals) {
+        for (acc, v) in self.counters.iter_mut().zip(other.counters.iter()) {
+            *acc += v;
+        }
+        self.latency.merge(&other.latency);
+    }
+
+    #[inline]
+    pub fn get(&self, c: Counter) -> u64 {
+        self.counters[c.index()]
+    }
+}
+
+impl Default for ShardTotals {
+    fn default() -> Self {
+        ShardTotals {
+            counters: [0; Counter::COUNT],
+            latency: LogHistogram::new(),
+        }
+    }
+}
+
 /// The per-runtime metric registry.
 pub struct Registry {
-    enabled: AtomicBool,
     shards: Mutex<Vec<Arc<ThreadShard>>>,
     gauges: [AtomicU64; Gauge::COUNT],
     flips: FlipLog,
@@ -146,33 +238,21 @@ pub struct Registry {
 impl Registry {
     pub fn new() -> Self {
         Registry {
-            enabled: AtomicBool::new(true),
             shards: Mutex::new(Vec::new()),
             gauges: std::array::from_fn(|_| AtomicU64::new(0)),
             flips: FlipLog::default(),
         }
     }
 
-    /// Disable (or re-enable) metering. Threads registered while disabled
-    /// get no shard, so every hot-path hook reduces to one branch — the
-    /// metrics-off engine_bench row measures exactly this.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Register a new thread. Returns `None` when metering is disabled.
+    /// Register a new thread and return its shard's only writer.
     /// Allocates (thread creation time — never on the op hot path).
-    pub fn register_shard(&self) -> Option<Arc<ThreadShard>> {
-        if !self.enabled() {
-            return None;
-        }
+    pub fn register_shard(&self) -> ShardWriter {
         let shard = Arc::new(ThreadShard::new());
         self.shards.lock().unwrap().push(shard.clone());
-        Some(shard)
+        ShardWriter {
+            shard,
+            _not_sync: PhantomData,
+        }
     }
 
     /// Zero every shard, gauge and the flip log. Called by
@@ -202,11 +282,6 @@ impl Registry {
             }
         }
         out
-    }
-
-    /// The executor-stage aggregate over all shards.
-    pub fn exec_stages(&self) -> ExecStages {
-        ExecStages::from_counters(&self.totals())
     }
 
     pub fn set_gauge(&self, g: Gauge, v: u64) {
@@ -244,18 +319,7 @@ impl Registry {
     pub fn merged_histogram(&self) -> LogHistogram {
         let mut out = LogHistogram::new();
         for s in self.shards.lock().unwrap().iter() {
-            let mut buckets = [0u64; LogHistogram::BUCKETS];
-            for (b, cell) in buckets.iter_mut().zip(s.hist_buckets.iter()) {
-                *b = cell.load(Ordering::Relaxed);
-            }
-            let mut h = LogHistogram::from_bucket_counts(&buckets);
-            // Restore the exact sum/max the shard tracked (from_bucket_counts
-            // only approximates them).
-            h = h.with_exact(
-                s.hist_sum.load(Ordering::Relaxed),
-                s.hist_max.load(Ordering::Relaxed),
-            );
-            out.merge(&h);
+            out.merge(&s.histogram());
         }
         out
     }
@@ -295,22 +359,7 @@ impl Default for Registry {
 impl std::fmt::Debug for Registry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let shards = self.shards.lock().unwrap().len();
-        write!(
-            f,
-            "Registry(enabled={}, shards={}, flips={})",
-            self.enabled(),
-            shards,
-            self.flips.len()
-        )
-    }
-}
-
-impl LogHistogram {
-    /// Replace the approximated sum/max with exactly-tracked values (used
-    /// when rebuilding a shard histogram whose sum/max atomics are known).
-    fn with_exact(mut self, sum: u64, max: u64) -> LogHistogram {
-        self.set_exact(sum, max);
-        self
+        write!(f, "Registry(shards={}, flips={})", shards, self.flips.len())
     }
 }
 
@@ -321,7 +370,7 @@ mod tests {
     #[test]
     fn shard_add_and_stage_view() {
         let reg = Registry::new();
-        let s = reg.register_shard().unwrap();
+        let s = reg.register_shard();
         s.add(Counter::Attempts, 3);
         s.add(Counter::Commits, 2);
         s.add(Counter::Middles, 1);
@@ -336,12 +385,11 @@ mod tests {
     #[test]
     fn totals_sum_across_shards() {
         let reg = Registry::new();
-        let a = reg.register_shard().unwrap();
-        let b = reg.register_shard().unwrap();
+        let a = reg.register_shard();
+        let b = reg.register_shard();
         a.add(Counter::Ops, 10);
         b.add(Counter::Ops, 5);
         assert_eq!(reg.total(Counter::Ops), 15);
-        assert_eq!(reg.exec_stages().attempts, 0);
         reg.reset();
         assert_eq!(reg.total(Counter::Ops), 0);
         // Handles stay live after reset.
@@ -350,18 +398,9 @@ mod tests {
     }
 
     #[test]
-    fn disabled_registry_hands_out_no_shards() {
-        let reg = Registry::new();
-        reg.set_enabled(false);
-        assert!(reg.register_shard().is_none());
-        reg.set_enabled(true);
-        assert!(reg.register_shard().is_some());
-    }
-
-    #[test]
     fn mark_restore_rolls_back_counters() {
         let reg = Registry::new();
-        let s = reg.register_shard().unwrap();
+        let s = reg.register_shard();
         s.add(Counter::Commits, 5);
         let mark = s.mark();
         s.add(Counter::Commits, 7);
@@ -382,8 +421,8 @@ mod tests {
     #[test]
     fn merged_histogram_keeps_exact_max() {
         let reg = Registry::new();
-        let a = reg.register_shard().unwrap();
-        let b = reg.register_shard().unwrap();
+        let a = reg.register_shard();
+        let b = reg.register_shard();
         a.record_latency(100);
         a.record_latency(1000);
         b.record_latency(999_937);

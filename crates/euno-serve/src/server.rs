@@ -24,8 +24,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use euno_core::{BatchOp, BatchScratch, EunoBTreeDefault, EunoConfig};
-use euno_htm::{ConcurrentMap, Runtime, KEY_SENTINEL, TOMBSTONE};
-use euno_metrics::{Counter, Gauge, LogHistogram, Registry, ThreadShard};
+use euno_htm::{ConcurrentMap, Runtime, ThreadCtx, KEY_SENTINEL, TOMBSTONE};
+use euno_metrics::{Counter, Gauge, LogHistogram, Registry, ShardWriter, ThreadShard};
 
 use crate::queue::Queue;
 use crate::router::{merge_scans, shard_of};
@@ -119,13 +119,12 @@ pub(crate) struct Shard {
     pub batch_hist: Mutex<LogHistogram>,
     pub worker: Mutex<Option<std::thread::Thread>>,
     /// This shard's slice of the *server* registry, shared by the worker
-    /// and the submitters. The worker is the single writer of its own
-    /// counters (completions, latency, batch counts) and uses
-    /// [`ThreadShard::add`]; any number of submitters bump
-    /// `ServeEnqueued`/`ServeShed`, so those go through
-    /// [`ThreadShard::add_shared`] — a plain load + store from two
-    /// submitters would lose increments.
-    pub stats: Option<Arc<ThreadShard>>,
+    /// and the submitters. The worker owns the slice's [`ShardWriter`]
+    /// for its own counters (completions, latency, batch counts); any
+    /// number of submitters bump `ServeEnqueued`/`ServeShed` through
+    /// this handle with [`ThreadShard::add_shared`] — a plain load +
+    /// store from two submitters would lose increments.
+    pub stats: Arc<ThreadShard>,
     pub maintain_every: u64,
     pub seed: u64,
 }
@@ -182,6 +181,7 @@ impl EunoServer {
         let registry = Arc::new(Registry::new());
         let epoch = Instant::now();
         let mut shards = Vec::with_capacity(cfg.shards);
+        let mut writers = Vec::with_capacity(cfg.shards);
         for i in 0..cfg.shards {
             let rt = Runtime::new_concurrent();
             let tree = EunoBTreeDefault::with_config(Arc::clone(&rt), cfg.tree_config.clone());
@@ -191,6 +191,7 @@ impl EunoServer {
             // the queue (rounded up to a power of two) must hold at least
             // one entry per pool slot.
             assert!(queue.capacity() >= pool.capacity());
+            let writer = registry.register_shard();
             shards.push(Arc::new(Shard {
                 rt,
                 tree,
@@ -202,19 +203,20 @@ impl EunoServer {
                 batch_max: AtomicUsize::new(cfg.batch_max.max(1)),
                 batch_hist: Mutex::new(LogHistogram::new()),
                 worker: Mutex::new(None),
-                stats: registry.register_shard(),
+                stats: writer.shared(),
                 maintain_every: cfg.maintain_every,
                 seed: cfg.seed ^ (i as u64).wrapping_mul(0x9e37_79b9),
             }));
+            writers.push(writer);
         }
-        let workers = shards
-            .iter()
+        let workers = writers
+            .into_iter()
             .enumerate()
-            .map(|(i, sh)| {
-                let sh = Arc::clone(sh);
+            .map(|(i, st)| {
+                let sh = Arc::clone(&shards[i]);
                 let handle = std::thread::Builder::new()
                     .name(format!("euno-serve-{i}"))
-                    .spawn(move || worker_loop(&sh, epoch))
+                    .spawn(move || worker_loop(&sh, &st, epoch))
                     .expect("spawn shard worker");
                 *shards[i].worker.lock().unwrap() = Some(handle.thread().clone());
                 handle
@@ -302,23 +304,17 @@ impl EunoServer {
     fn enqueue(&self, shard: usize, raw: RawReq) -> Result<(u32, u32), Shed> {
         let sh = &self.shards[shard];
         let Some(idx) = sh.pool.acquire() else {
-            if let Some(st) = &sh.stats {
-                st.add_shared(Counter::ServeShed, 1);
-            }
+            sh.stats.add_shared(Counter::ServeShed, 1);
             return Err(Shed);
         };
         let gen = sh.pool.gen(idx);
         sh.pool.stage(idx, raw);
         if !sh.queue.push(idx) {
             sh.pool.release(idx);
-            if let Some(st) = &sh.stats {
-                st.add_shared(Counter::ServeShed, 1);
-            }
+            sh.stats.add_shared(Counter::ServeShed, 1);
             return Err(Shed);
         }
-        if let Some(st) = &sh.stats {
-            st.add_shared(Counter::ServeEnqueued, 1);
-        }
+        sh.stats.add_shared(Counter::ServeEnqueued, 1);
         if sh.depth.fetch_add(1, Ordering::Relaxed) == 0 {
             if let Some(t) = sh.worker.lock().unwrap().as_ref() {
                 t.unpark();
@@ -527,12 +523,10 @@ fn to_batch_op(r: &RawReq) -> BatchOp {
     }
 }
 
-fn finish_point(sh: &Shard, idx: u32, value: Option<u64>, now_ns: u64) {
+fn finish_point(sh: &Shard, st: &ShardWriter, idx: u32, value: Option<u64>, now_ns: u64) {
     let req = sh.pool.read_req(idx);
-    if let Some(st) = &sh.stats {
-        st.record_latency(now_ns.saturating_sub(req.issued_ns));
-        st.add(Counter::ServeCompleted, 1);
-    }
+    st.record_latency(now_ns.saturating_sub(req.issued_ns));
+    st.add(Counter::ServeCompleted, 1);
     if req.detached {
         sh.pool.release(idx);
     } else {
@@ -540,7 +534,7 @@ fn finish_point(sh: &Shard, idx: u32, value: Option<u64>, now_ns: u64) {
     }
 }
 
-fn worker_loop(sh: &Shard, epoch: Instant) {
+fn worker_loop(sh: &Shard, st: &ShardWriter, epoch: Instant) {
     let mut ctx = sh.rt.thread(sh.seed);
     let mut idxs: Vec<u32> = Vec::with_capacity(sh.batch_max.load(Ordering::Relaxed).max(1));
     // (op, slot index, arrival position) — the position makes the
@@ -587,7 +581,7 @@ fn worker_loop(sh: &Shard, epoch: Instant) {
             for &idx in &idxs {
                 let r = sh.pool.read_req(idx);
                 if r.kind == K_SCAN {
-                    exec_scan(sh, &mut ctx, idx, &r, epoch);
+                    exec_scan(sh, st, &mut ctx, idx, &r, epoch);
                     scan_singles += 1;
                 } else {
                     sorted.push((to_batch_op(&r), idx, sorted.len() as u32));
@@ -601,15 +595,13 @@ fn worker_loop(sh: &Shard, epoch: Instant) {
                     .apply_batch(&mut ctx, &ops, &mut results, &mut scratch);
                 let now = epoch.elapsed().as_nanos() as u64;
                 for (&(_, idx, _), &value) in sorted.iter().zip(results.iter()) {
-                    finish_point(sh, idx, value, now);
+                    finish_point(sh, st, idx, value, now);
                 }
-                if let Some(st) = &sh.stats {
-                    st.add(Counter::ServeBatches, 1);
-                    st.add(Counter::ServeBatchedOps, ops.len() as u64 - bstats.singles);
-                    st.add(Counter::ServeSingleOps, bstats.singles + scan_singles);
-                    if bstats.singles > 0 {
-                        st.add(Counter::ServeBatchBails, bstats.singles);
-                    }
+                st.add(Counter::ServeBatches, 1);
+                st.add(Counter::ServeBatchedOps, ops.len() as u64 - bstats.singles);
+                st.add(Counter::ServeSingleOps, bstats.singles + scan_singles);
+                if bstats.singles > 0 {
+                    st.add(Counter::ServeBatchBails, bstats.singles);
                 }
                 sh.batch_hist.lock().unwrap().record(ops.len() as u64);
                 // Adaptive width: a batch that conflict-aborts more than
@@ -621,47 +613,51 @@ fn worker_loop(sh: &Shard, epoch: Instant) {
                 if thrashed {
                     if eff > 1 {
                         eff = (eff / 2).max(1);
-                        if let Some(st) = &sh.stats {
-                            st.add(Counter::ServeBatchShrinks, 1);
-                        }
+                        st.add(Counter::ServeBatchShrinks, 1);
                     }
                 } else if bstats.conflict_aborts == 0 && eff < max {
                     eff += 1;
                 }
             } else if scan_singles > 0 {
-                if let Some(st) = &sh.stats {
-                    st.add(Counter::ServeSingleOps, scan_singles);
-                }
+                st.add(Counter::ServeSingleOps, scan_singles);
             }
         } else {
             for &idx in &idxs {
                 let r = sh.pool.read_req(idx);
                 match r.kind {
-                    K_SCAN => exec_scan(sh, &mut ctx, idx, &r, epoch),
+                    K_SCAN => exec_scan(sh, st, &mut ctx, idx, &r, epoch),
                     _ => {
                         let value = match r.kind {
                             K_GET => sh.tree.get(&mut ctx, r.key),
                             K_PUT => sh.tree.put(&mut ctx, r.key, r.arg),
                             _ => sh.tree.delete(&mut ctx, r.key),
                         };
-                        finish_point(sh, idx, value, epoch.elapsed().as_nanos() as u64);
+                        finish_point(sh, st, idx, value, epoch.elapsed().as_nanos() as u64);
                     }
                 }
             }
-            if let Some(st) = &sh.stats {
-                st.add(Counter::ServeSingleOps, idxs.len() as u64);
-            }
+            st.add(Counter::ServeSingleOps, idxs.len() as u64);
         }
+        // Every drained request completed above: count them as tree ops
+        // on the worker's engine shard, next to its stage and abort counts.
+        ctx.metric_add(Counter::Ops, idxs.len() as u64);
         if sh.maintain_every > 0 && cycles.is_multiple_of(sh.maintain_every) {
             sh.tree.maintain(&mut ctx);
         }
     }
 }
 
-fn exec_scan(sh: &Shard, ctx: &mut euno_htm::ThreadCtx, idx: u32, r: &RawReq, epoch: Instant) {
+fn exec_scan(
+    sh: &Shard,
+    st: &ShardWriter,
+    ctx: &mut ThreadCtx,
+    idx: u32,
+    r: &RawReq,
+    epoch: Instant,
+) {
     // Safety: the worker owns the slot between queue pop and completion.
     let buf = unsafe { sh.pool.scan_buf(idx) };
     buf.clear();
     sh.tree.scan(ctx, r.key, r.arg as usize, buf);
-    finish_point(sh, idx, None, epoch.elapsed().as_nanos() as u64);
+    finish_point(sh, st, idx, None, epoch.elapsed().as_nanos() as u64);
 }

@@ -9,7 +9,7 @@ use euno_htm::{
     AdaptiveBudget, AggressivePolicy, ConcurrentMap, DbxPolicy, Mode, RetryPolicy, RetryStrategy,
     Runtime, ThreadCtx, ThreadStats,
 };
-use euno_metrics::{sample_due, Counter, ExecStages, LogHistogram, TimeSeries};
+use euno_metrics::{sample_due, Counter, ShardTotals, TimeSeries};
 use euno_trace::{build_profile, codes, EventKind, ThreadTrace, TraceBuf};
 use euno_workloads::{Op, OpStream, PolicyChoice, WorkloadSpec};
 
@@ -128,13 +128,13 @@ pub fn apply_op(
         }
     }
     ctx.trace(EventKind::OpEnd);
-    ctx.stats.ops += 1;
+    ctx.metric_add(Counter::Ops, 1);
 }
 
 /// Run one unmeasured warmup operation: the clock contribution is kept
-/// (it shapes the schedule) while ops/abort statistics — and the thread's
-/// metric-shard counters — are rolled back so the measured metrics only
-/// cover steady state.
+/// (it shapes the schedule) while the thread's metric-shard counts (ops,
+/// stages, aborts) and its cycle statistics are rolled back so the
+/// measured metrics only cover steady state.
 #[inline]
 pub fn apply_warmup_op(
     map: &dyn ConcurrentMap,
@@ -228,10 +228,10 @@ pub fn attach_profile(m: &mut RunMetrics, rt: &Arc<Runtime>, cfg: &RunConfig) {
 /// timing. Used by stress tests; on a many-core host this also gives
 /// native throughput numbers.
 ///
-/// Each thread records a per-operation latency histogram over its
-/// cycle-charged clock (spins, retries and fallback serialization all
-/// charge cycles in concurrent mode too); the merged histogram lands in
-/// [`RunMetrics::latency`] exactly as in virtual mode.
+/// Each thread records its per-operation latency over its cycle-charged
+/// clock (spins, retries and fallback serialization all charge cycles in
+/// concurrent mode too) into its metrics shard; the merged histogram
+/// lands in [`RunMetrics::latency`] exactly as in virtual mode.
 pub fn run_concurrent(
     map: &dyn ConcurrentMap,
     rt: &Arc<Runtime>,
@@ -248,7 +248,7 @@ pub fn run_concurrent(
     let trace_cap = cfg.effective_trace_capacity();
     let done = std::sync::atomic::AtomicBool::new(false);
     let mut series: Option<TimeSeries> = None;
-    type WorkerOut = (ThreadStats, ExecStages, LogHistogram, Option<ThreadTrace>);
+    type WorkerOut = (ThreadStats, ShardTotals, Option<ThreadTrace>);
     let results: Vec<WorkerOut> = std::thread::scope(|s| {
         let mut handles = Vec::new();
         for t in 0..cfg.threads {
@@ -264,7 +264,6 @@ pub fn run_concurrent(
                 }
                 let mut stream = OpStream::new(&spec, t as u64, cfg.seed);
                 let mut scan_buf = Vec::new();
-                let mut latency = LogHistogram::new();
                 for _ in 0..cfg.warmup_ops {
                     let op = stream.next_op();
                     apply_warmup_op(map_ref, &mut ctx, op, &mut scan_buf);
@@ -275,14 +274,12 @@ pub fn run_concurrent(
                     let op = stream.next_op();
                     let before = ctx.clock;
                     apply_op(map_ref, &mut ctx, op, &mut scan_buf);
-                    latency.record(ctx.clock - before);
-                    ctx.metric_add(Counter::Ops, 1);
                     ctx.metric_record_latency(ctx.clock - before);
                 }
                 ctx.finish();
                 let trace = ctx.take_tracer().map(|b| b.into_thread_trace());
-                let stages = ctx.exec_stages();
-                (ctx.stats, stages, latency, trace)
+                let totals = ShardTotals::of(ctx.metrics_shard());
+                (ctx.stats, totals, trace)
             }));
         }
         // Wall-clock sampler: one extra thread ticking every Δ µs from
@@ -324,17 +321,15 @@ pub fn run_concurrent(
         results
     });
     let elapsed = start_cell.lock().unwrap().elapsed().as_secs_f64();
-    let mut latency = LogHistogram::new();
     let mut per_thread = Vec::with_capacity(results.len());
-    let mut stages = ExecStages::default();
+    let mut totals = ShardTotals::default();
     let mut traces = Vec::new();
-    for (stats, st, hist, trace) in results {
-        latency.merge(&hist);
+    for (stats, t, trace) in results {
         per_thread.push(stats);
-        stages.merge(&st);
+        totals.merge(&t);
         traces.extend(trace);
     }
-    let mut m = RunMetrics::from_wall(per_thread, stages, elapsed, latency);
+    let mut m = RunMetrics::from_wall(&per_thread, &totals, elapsed);
     m.timeseries = series;
     m.flips = rt.metrics().flips().events();
     if trace_cap.is_some() {

@@ -1,7 +1,7 @@
 //! Run-level metrics: what each paper figure plots.
 
 use euno_htm::{AbortCounts, CostModel, ThreadStats};
-use euno_metrics::{ExecStages, FlipEvent, LogHistogram, TimeSeries};
+use euno_metrics::{Counter, ExecStages, FlipEvent, LogHistogram, ShardTotals, TimeSeries};
 use euno_trace::{LeafProfile, ThreadTrace};
 
 /// Service-layer telemetry for runs driven through `euno-serve` (the
@@ -58,10 +58,9 @@ pub struct RunMetrics {
     pub accesses_per_op: f64,
     /// Fallback-path executions per op.
     pub fallbacks_per_op: f64,
-    /// Merged raw counters.
+    /// Merged cycle totals and instruction proxies.
     pub stats: ThreadStats,
-    /// Executor stage counts (attempts/commits/middles/fallbacks/...),
-    /// aggregated from the run's `euno-metrics` thread shards.
+    /// Executor stage counts (attempts/commits/middles/fallbacks/...).
     pub stages: ExecStages,
     /// Registry snapshots sampled every Δ ticks, when the run asked for
     /// them ([`crate::harness::RunConfig::sample_every`]).
@@ -72,9 +71,7 @@ pub struct RunMetrics {
     /// CCM bypass flips and programmed shift marks recorded during the
     /// run, decoded from the registry's flip log.
     pub flips: Vec<FlipEvent>,
-    /// Per-thread raw counters (scalability diagnostics).
-    pub per_thread: Vec<ThreadStats>,
-    /// Per-operation virtual-cycle latency distribution (merged).
+    /// Per-operation latency distribution (merged).
     pub latency: LogHistogram,
     /// Collected per-thread event traces, when the run had tracing on
     /// ([`crate::harness::RunConfig::trace_capacity`]).
@@ -86,33 +83,19 @@ pub struct RunMetrics {
     pub serve: Option<ServeInfo>,
 }
 
+/// `total_ops`, `aborts`, `stages` and `latency` are views of the
+/// [`ShardTotals`] of the run's own thread shards; the cycle fields come
+/// from the merged [`ThreadStats`].
 impl RunMetrics {
-    /// Build from per-thread stats plus the makespan in cycles
-    /// (virtual mode).
+    /// Build from per-thread stats, the run's shard totals and the
+    /// makespan in cycles (virtual mode). The measured span is the
+    /// makespan minus the earliest post-warmup clock, so warmup cycles
+    /// never dilute throughput.
     pub fn from_virtual(
-        per_thread: Vec<ThreadStats>,
-        stages: ExecStages,
+        per_thread: &[ThreadStats],
+        totals: &ShardTotals,
         makespan_cycles: u64,
         cost: &CostModel,
-    ) -> Self {
-        Self::from_virtual_with_latency(
-            per_thread,
-            stages,
-            makespan_cycles,
-            cost,
-            LogHistogram::new(),
-        )
-    }
-
-    /// As [`RunMetrics::from_virtual`], with a latency histogram. The
-    /// measured span is the makespan minus the earliest post-warmup clock,
-    /// so warmup cycles never dilute throughput.
-    pub fn from_virtual_with_latency(
-        per_thread: Vec<ThreadStats>,
-        stages: ExecStages,
-        makespan_cycles: u64,
-        cost: &CostModel,
-        latency: LogHistogram,
     ) -> Self {
         // Threads that never finished warmup (None) measured from cycle 0.
         let measure_start = per_thread
@@ -121,50 +104,46 @@ impl RunMetrics {
             .min()
             .unwrap_or(0);
         let span = makespan_cycles.saturating_sub(measure_start).max(1);
-        let elapsed = cost.cycles_to_secs(span);
-        Self::build(per_thread, stages, elapsed, latency)
+        Self::build(per_thread, totals, cost.cycles_to_secs(span))
     }
 
-    /// Build from per-thread stats plus measured wall time and the merged
-    /// per-operation latency histogram (concurrent mode). Pass
-    /// `LogHistogram::new()` only when the harness genuinely recorded
-    /// no latencies — reports distinguish "no samples" from "not wired".
-    pub fn from_wall(
-        per_thread: Vec<ThreadStats>,
-        stages: ExecStages,
-        elapsed_secs: f64,
-        latency: LogHistogram,
-    ) -> Self {
-        let mut m = Self::build(per_thread, stages, elapsed_secs.max(1e-9), latency);
-        m.tick_unit = "us";
-        m
+    /// Build from per-thread stats, the run's shard totals and measured
+    /// wall time (concurrent mode).
+    pub fn from_wall(per_thread: &[ThreadStats], totals: &ShardTotals, elapsed_secs: f64) -> Self {
+        Self::build(per_thread, totals, elapsed_secs.max(1e-9)).with_wall_time(elapsed_secs)
     }
 
-    fn build(
-        per_thread: Vec<ThreadStats>,
-        stages: ExecStages,
-        elapsed_secs: f64,
-        latency: LogHistogram,
-    ) -> Self {
+    /// Re-time the run by a measured wall-clock span: throughput becomes
+    /// ops per wall second and sample ticks are read as microseconds.
+    pub fn with_wall_time(mut self, elapsed_secs: f64) -> Self {
+        self.elapsed_secs = elapsed_secs.max(1e-9);
+        self.throughput = self.total_ops as f64 / self.elapsed_secs;
+        self.tick_unit = "us";
+        self
+    }
+
+    fn build(per_thread: &[ThreadStats], totals: &ShardTotals, elapsed_secs: f64) -> Self {
         let mut merged = ThreadStats::default();
-        for s in &per_thread {
+        for s in per_thread {
             merged.merge(s);
         }
-        let ops = merged.ops.max(1);
+        let total_ops = totals.get(Counter::Ops);
+        let aborts = AbortCounts::from_counters(&totals.counters);
+        let stages = ExecStages::from_counters(&totals.counters);
+        let ops = total_ops.max(1);
         RunMetrics {
             threads: per_thread.len(),
-            total_ops: merged.ops,
+            total_ops,
             elapsed_secs,
-            throughput: merged.ops as f64 / elapsed_secs,
-            aborts: merged.aborts.clone(),
-            aborts_per_op: merged.aborts.total() as f64 / ops as f64,
+            throughput: total_ops as f64 / elapsed_secs,
+            aborts_per_op: aborts.total() as f64 / ops as f64,
+            aborts,
             wasted_cycle_fraction: merged.wasted_cycle_fraction(),
             accesses_per_op: merged.mem_accesses as f64 / ops as f64,
             fallbacks_per_op: stages.fallbacks as f64 / ops as f64,
             stats: merged,
             stages,
-            per_thread,
-            latency,
+            latency: totals.latency.clone(),
             timeseries: None,
             tick_unit: "cycles",
             flips: Vec::new(),
@@ -184,40 +163,46 @@ impl RunMetrics {
 mod tests {
     use super::*;
 
+    /// Shard totals holding `ops` completed operations and nothing else.
+    fn ops(n: u64) -> ShardTotals {
+        let mut t = ShardTotals::default();
+        t.counters[Counter::Ops.index()] = n;
+        t
+    }
+
     #[test]
     fn metrics_aggregate_two_threads() {
         let a = ThreadStats {
-            ops: 100,
             cycles_total: 1000,
             cycles_wasted: 100,
             mem_accesses: 400,
             ..Default::default()
         };
-        let mut b = ThreadStats {
-            ops: 100,
+        let b = ThreadStats {
             cycles_total: 1000,
             ..Default::default()
         };
-        b.aborts.capacity = 10;
+        let mut totals = ops(200);
+        totals.counters[Counter::AbortsHtmCapacity.index()] = 6;
+        totals.counters[Counter::AbortsMiddleCapacity.index()] = 4;
+        totals.counters[Counter::Fallbacks.index()] = 20;
         let cost = CostModel::default();
-        let m = RunMetrics::from_virtual(vec![a, b], ExecStages::default(), 2_300_000, &cost);
+        let m = RunMetrics::from_virtual(&[a, b], &totals, 2_300_000, &cost);
         assert_eq!(m.threads, 2);
         assert_eq!(m.total_ops, 200);
         // 2.3e6 cycles at 2.3 GHz = 1 ms → 200 ops / 1 ms = 200 kops/s.
         assert!((m.throughput - 200_000.0).abs() < 1.0);
+        assert_eq!(m.aborts.capacity, 10, "both paths land in one bucket");
         assert!((m.aborts_per_op - 0.05).abs() < 1e-12);
+        assert_eq!(m.stages.fallbacks, 20);
+        assert!((m.fallbacks_per_op - 0.1).abs() < 1e-12);
         assert!((m.wasted_cycle_fraction - 0.05).abs() < 1e-12);
         assert!((m.accesses_per_op - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn zero_ops_does_not_divide_by_zero() {
-        let m = RunMetrics::from_wall(
-            vec![ThreadStats::default()],
-            ExecStages::default(),
-            0.0,
-            LogHistogram::new(),
-        );
+        let m = RunMetrics::from_wall(&[ThreadStats::default()], &ShardTotals::default(), 0.0);
         assert_eq!(m.total_ops, 0);
         assert!(m.throughput.is_finite());
         assert_eq!(m.aborts_per_op, 0.0);
@@ -225,25 +210,17 @@ mod tests {
 
     #[test]
     fn mops_unit() {
-        let a = ThreadStats {
-            ops: 5_000_000,
-            ..Default::default()
-        };
-        let m = RunMetrics::from_wall(vec![a], ExecStages::default(), 1.0, LogHistogram::new());
+        let m = RunMetrics::from_wall(&[ThreadStats::default()], &ops(5_000_000), 1.0);
         assert!((m.mops() - 5.0).abs() < 1e-9);
     }
 
     #[test]
     fn from_wall_carries_latency_histogram() {
-        let mut h = LogHistogram::new();
+        let mut totals = ops(4);
         for v in [100u64, 200, 400, 100_000] {
-            h.record(v);
+            totals.latency.record(v);
         }
-        let a = ThreadStats {
-            ops: 4,
-            ..Default::default()
-        };
-        let m = RunMetrics::from_wall(vec![a], ExecStages::default(), 0.5, h);
+        let m = RunMetrics::from_wall(&[ThreadStats::default()], &totals, 0.5);
         assert_eq!(m.latency.count(), 4);
         let (p50, p99, p999) = (
             m.latency.quantile(0.5),
@@ -252,6 +229,7 @@ mod tests {
         );
         assert!(p50 <= p99 && p99 <= p999);
         assert_eq!(m.latency.max(), 100_000);
+        assert_eq!(m.tick_unit, "us");
     }
 
     #[test]
@@ -261,25 +239,14 @@ mod tests {
         // higher than the naive makespan-only number.
         let cost = CostModel::default();
         let mk = |start: u64| ThreadStats {
-            ops: 1_000,
             measure_start_cycles: Some(start),
             ..Default::default()
         };
-        let warmed = RunMetrics::from_virtual(
-            vec![mk(400_000), mk(500_000)],
-            ExecStages::default(),
-            2_300_000,
-            &cost,
-        );
+        let warmed =
+            RunMetrics::from_virtual(&[mk(400_000), mk(500_000)], &ops(2_000), 2_300_000, &cost);
         let naive = RunMetrics::from_virtual(
-            vec![
-                ThreadStats {
-                    ops: 1_000,
-                    ..Default::default()
-                };
-                2
-            ],
-            ExecStages::default(),
+            &[ThreadStats::default(), ThreadStats::default()],
+            &ops(2_000),
             2_300_000,
             &cost,
         );

@@ -824,27 +824,24 @@ fn validate_profile(profile: &Json, at: &str) -> Result<(), String> {
 mod tests {
     use super::*;
     use euno_htm::ThreadStats;
-    use euno_metrics::{ExecStages, FlipEvent, FlipKind, LogHistogram, Registry};
+    use euno_metrics::{FlipEvent, FlipKind, LogHistogram, Registry, ShardTotals};
 
     fn sample_metrics() -> RunMetrics {
-        let mut hist = LogHistogram::new();
+        let mut totals = ShardTotals::default();
         for v in [900u64, 1_200, 2_000, 40_000] {
-            hist.record(v);
+            totals.latency.record(v);
         }
+        totals.counters[Counter::Ops.index()] = 4;
+        totals.counters[Counter::Attempts.index()] = 6;
+        totals.counters[Counter::Commits.index()] = 4;
+        totals.counters[Counter::Backoffs.index()] = 2;
         let t = ThreadStats {
-            ops: 4,
             cycles_backoff: 80,
             cycles_total: 50_000,
             measure_start_cycles: Some(1_000),
             ..Default::default()
         };
-        let stages = ExecStages {
-            attempts: 6,
-            commits: 4,
-            backoffs: 2,
-            ..Default::default()
-        };
-        RunMetrics::from_wall(vec![t], stages, 0.001, hist)
+        RunMetrics::from_wall(&[t], &totals, 0.001)
     }
 
     fn sample_report() -> RunReport {
@@ -973,7 +970,7 @@ mod tests {
         let mut report = sample_report();
         // Two sampled snapshots with activity in between → one window.
         let reg = Registry::new();
-        let shard = reg.register_shard().unwrap();
+        let shard = reg.register_shard();
         let mut ts = TimeSeries::new(100, 8);
         shard.add(Counter::Ops, 3);
         shard.record_latency(500);
@@ -1071,7 +1068,7 @@ mod tests {
     fn nonmonotone_timeseries_ticks_are_rejected() {
         let mut report = sample_report();
         let reg = Registry::new();
-        let _shard = reg.register_shard().unwrap();
+        let _shard = reg.register_shard();
         let mut ts = TimeSeries::new(10, 8);
         ts.sample(10, &reg);
         ts.sample(20, &reg);

@@ -19,13 +19,14 @@ use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use euno_htm::{Mode, Runtime, ThreadCtx, ThreadStats};
-use euno_metrics::{sample_due, Counter, ExecStages, LogHistogram, TimeSeries};
+use euno_metrics::{sample_due, Counter, ShardTotals, TimeSeries};
 use euno_trace::{EventKind, ThreadTrace, TraceBuf};
 
 use crate::metrics::RunMetrics;
 
-/// A per-thread operation driver: run ONE operation; return `false` when
-/// the thread has no more work.
+/// A per-thread operation driver: run ONE operation, counting it as
+/// `Counter::Ops` on the thread's shard; return `false` when the thread
+/// has no more work.
 pub type Driver<'a> = Box<dyn FnMut(&mut ThreadCtx) -> bool + 'a>;
 
 /// Builder/executor for one virtual-time run.
@@ -101,7 +102,6 @@ impl<'a> VirtualScheduler<'a> {
 
         let mut events: u64 = 0;
         let mut makespan: u64 = 0;
-        let mut latency = LogHistogram::new();
         let mut series = self
             .sampling
             .map(|(delta, cap)| TimeSeries::new(delta, cap));
@@ -123,13 +123,11 @@ impl<'a> VirtualScheduler<'a> {
             let (ctx, driver) = &mut self.threads[i];
             debug_assert_eq!(ctx.clock, start);
             ctx.trace(EventKind::SchedStep { clock: start });
-            let ops_before = ctx.stats.ops;
+            let ops_before = ctx.metric(Counter::Ops);
             let more = driver(ctx);
-            if ctx.stats.ops > ops_before {
+            if ctx.metric(Counter::Ops) > ops_before {
                 // One event = one operation: its latency is the clock span
                 // (includes retries, lock waits, fallback serialization).
-                latency.record(ctx.clock - start);
-                ctx.metric_add(Counter::Ops, ctx.stats.ops - ops_before);
                 ctx.metric_record_latency(ctx.clock - start);
             }
             makespan = makespan.max(ctx.clock);
@@ -141,10 +139,10 @@ impl<'a> VirtualScheduler<'a> {
         }
 
         let mut traces: Vec<ThreadTrace> = Vec::new();
-        // Stage counts come from the scheduler's own thread shards (never
-        // registry totals, which could include contexts other callers
-        // registered on the same runtime).
-        let mut stages = ExecStages::default();
+        // Counts and latency come from the scheduler's own thread shards
+        // (never registry totals, which could include contexts other
+        // callers registered on the same runtime).
+        let mut totals = ShardTotals::default();
         let per_thread: Vec<ThreadStats> = self
             .threads
             .iter_mut()
@@ -153,7 +151,7 @@ impl<'a> VirtualScheduler<'a> {
                 if let Some(buf) = ctx.take_tracer() {
                     traces.push(buf.into_thread_trace());
                 }
-                stages.merge(&ctx.exec_stages());
+                totals.merge(&ShardTotals::of(ctx.metrics_shard()));
                 ctx.stats.clone()
             })
             .collect();
@@ -163,13 +161,7 @@ impl<'a> VirtualScheduler<'a> {
             self.rt.publish_epoch_gauges();
             ts.sample(makespan, self.rt.metrics());
         }
-        let mut m = RunMetrics::from_virtual_with_latency(
-            per_thread,
-            stages,
-            makespan,
-            &self.rt.cost,
-            latency,
-        );
+        let mut m = RunMetrics::from_virtual(&per_thread, &totals, makespan, &self.rt.cost);
         m.timeseries = series;
         m.flips = self.rt.metrics().flips().events();
         if self.trace_capacity.is_some() {
@@ -208,7 +200,7 @@ mod tests {
                 let v = tx.read(&self.cells[i].0)?;
                 tx.write(&self.cells[i].0, v + 1)
             });
-            ctx.stats.ops += 1;
+            ctx.metric_add(Counter::Ops, 1);
         }
     }
 

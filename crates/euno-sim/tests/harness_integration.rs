@@ -198,6 +198,31 @@ fn hot_zipfian_produces_contention_in_the_toy() {
 }
 
 #[test]
+fn warmup_is_rolled_back_from_every_count() {
+    // Warm-up ops run (and conflict) but are excluded from the measured
+    // counts by the shard mark/restore alone: a run that is all warm-up
+    // reports nothing, while the clock shows the work was done.
+    let rt = Runtime::new_virtual();
+    let map = ToyMap::new(4096);
+    preload(&map, &rt, &toy_spec());
+    rt.reset_dynamics();
+    let cfg = RunConfig {
+        threads: 16,
+        ops_per_thread: 0,
+        seed: 4,
+        warmup_ops: 200,
+        ..RunConfig::default()
+    };
+    let m = run_virtual(&map, &rt, &toy_spec(), &cfg);
+    assert_eq!(m.total_ops, 0);
+    assert_eq!(m.stages.attempts, 0);
+    assert_eq!(m.aborts.total(), 0);
+    assert_eq!(m.latency.count(), 0);
+    assert!(m.stats.cycles_total > 0, "warm-up advanced the clock");
+    assert!(m.stats.measure_start_cycles.is_some());
+}
+
+#[test]
 fn concurrent_harness_executes_all_ops() {
     let rt = Runtime::new_concurrent();
     let map = ToyMap::new(8192);

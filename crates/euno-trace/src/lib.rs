@@ -1,7 +1,7 @@
 //! # euno-trace — structured event tracing for the Eunomia workspace
 //!
-//! Run-level aggregates (`RunReport`, `ExecObserver` counters) say *how
-//! much* went wrong; they cannot say *which* leaf, *which* cache line, or
+//! Run-level aggregates (`RunReport`, the `euno-metrics` shard counters)
+//! say *how much* went wrong; they cannot say *which* leaf, *which* cache line, or
 //! *which* retry path did it. This crate closes that gap with a
 //! per-thread, fixed-capacity ring buffer of cycle-timestamped structured
 //! [`Event`]s that the engine emits from its hot paths — HTM episode

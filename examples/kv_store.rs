@@ -82,10 +82,9 @@ fn main() {
             Some("stats") => {
                 let stages = ctx.exec_stages();
                 format!(
-                    "ops={} commits={} aborts={} fallbacks={} mem={}B",
-                    ctx.stats.ops,
+                    "commits={} aborts={} fallbacks={} mem={}B",
                     stages.commits,
-                    ctx.stats.aborts.total(),
+                    ctx.aborts().total(),
                     stages.fallbacks,
                     tree.memory().total_live(),
                 )

@@ -38,10 +38,9 @@ fn main() {
     // stage counts live in the always-on metrics registry.
     let stages = ctx.exec_stages();
     println!(
-        "ops={} htm-commits={} aborts/op={:.4} mem-accesses/op={:.1} virtual-cycles={}",
-        ctx.stats.ops + 10_003, // puts/gets above don't bump ops by themselves
+        "htm-commits={} aborts={} mem-accesses/commit={:.1} virtual-cycles={}",
         stages.commits,
-        ctx.stats.aborts_per_op(),
+        ctx.aborts().total(),
         ctx.stats.mem_accesses as f64 / stages.commits.max(1) as f64,
         ctx.clock,
     );

@@ -22,12 +22,16 @@ cargo test --workspace --release -q
 
 # Repeat stage: the serve tier's lib tests (including the batched vs
 # unbatched run under concurrent submitters) and its lin-oracle suite
-# race real threads, so one pass proves little.  Run them 50 times; a
-# single failure fails the gate and the log names its iteration.
+# race real threads, so one pass proves little; so do euno-check's
+# stress, churn and storm linearizability tests, which also read the
+# shard stage counters.  Run them 50 times; a single failure fails the
+# gate and the log names its iteration.
 for i in $(seq 1 50); do
-    echo "serve concurrency repeat $i/50"
+    echo "concurrency repeat $i/50"
     out="$(cargo test --release -q -p euno-serve --lib --test lin_oracle 2>&1)" \
         || { echo "$out"; echo "serve concurrency repeat: iteration $i/50 failed"; exit 1; }
+    out="$(cargo test --release -q -p euno-check --lib 2>&1)" \
+        || { echo "$out"; echo "euno-check concurrency repeat: iteration $i/50 failed"; exit 1; }
 done
 
 # hw-rtm gate: the RTM backend is cfg'd out of the default build and
